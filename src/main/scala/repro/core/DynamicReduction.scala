@@ -39,6 +39,13 @@ final class DynOutcome(
   *     `R`, with `X` re-intersected against their neighbourhoods (Alg. 7
   *     line 15).
   *
+  * All three are preceded by a '''barren exit'''. If some `x ∈ X` is
+  * adjacent to every vertex of `P`, every clique of the subtree extends by
+  * `x`, so none is maximal; and every `P` vertex is marked, so rules 1-2
+  * would report nothing. The call then returns an empty `P` (`X`
+  * unchanged, `removedAny` set) without paying the degree scan. On a dense
+  * core this prunes the same calls that BK's pivot scan prunes.
+  *
   * A vertex `u ∈ P` is "marked" iff `N(u) ∩ X ≠ ∅`; marks are computed
   * *lazily* (only for the few degree-0/1 vertices and their partners) and
   * memoised per call, so the common case pays one generation-stamped degree
@@ -69,6 +76,7 @@ final class DynamicReduction(n: Int) {
   def apply(g: CsrGraph, r: IntStack, p: Array[Int], x: Array[Int],
             report: (Array[Int], Int) => Unit, metrics: Metrics): DynOutcome = {
     if (p.isEmpty) return new DynOutcome(p, x, 0, false, Array.empty)
+    if (barren(g, p, x)) return new DynOutcome(Engine.EmptyInts, x, 0, true, Engine.EmptyInts)
     gen += 1
     val myGen = gen
     val adj = g.adj
@@ -219,5 +227,32 @@ final class DynamicReduction(n: Int) {
       if (partners == null) Engine.EmptyInts
       else java.util.Arrays.copyOf(partners, nPartners)
     new DynOutcome(p1, x1, hoisted, removedAny, partnersOut)
+  }
+
+  /** Does some `x ∈ X` cover `P` (`P ⊆ N(x)`)? Each test stops at the first
+    * `P` vertex missing from `N(x)`. It probes `N(x)` by binary search, or
+    * merges once `|P|·log₂ deg(x) > deg(x)`.
+    */
+  private def barren(g: CsrGraph, p: Array[Int], x: Array[Int]): Boolean = {
+    val adj = g.adj
+    val off = g.offsets
+    var i = 0
+    while (i < x.length) {
+      val from = off(x(i))
+      val until = off(x(i) + 1)
+      val d = until - from
+      if (d >= p.length) {
+        val log2d = 32 - Integer.numberOfLeadingZeros(d)
+        if (p.length.toLong * log2d > d) {
+          if (IntSets.subsetOfExcluding(p, 0, p.length, -1, adj, from, until)) return true
+        } else {
+          var j = 0
+          while (j < p.length && IntSets.contains(adj, from, until, p(j))) j += 1
+          if (j == p.length) return true
+        }
+      }
+      i += 1
+    }
+    false
   }
 }

@@ -81,16 +81,23 @@ final class ForbiddenSetReduction(n: Int) {
         out
       }
 
+    // Rule 1 can hold only for u = p(0): N⁺(u) holds labels > u, so for
+    // any later u it misses p(0). Rule 2 is tested only where it could take
+    // effect: N⁺(u) ⊆ P means N⁺(u) ⊆ p(k+1..), so |N⁺(u)| ≤ |P| − 1 − k.
+    // The outcome (ignoreId, domBy) is that of testing both rules, rule 2
+    // only when rule 1 fails, for every u ∈ P.
     val adj = g.adj
     k = 0
     while (k < p.length) {
       val u = p(k)
       val af = g.split(u) // N⁺(u) starts here (labels > u)
       val au = g.offsets(u + 1)
-      if (IntSets.subsetOfExcluding(p, 0, p.length, u, adj, af, au)) {
+      if (k == 0 && au - af >= p.length - 1 &&
+          IntSets.subsetOfExcluding(p, 0, p.length, u, adj, af, au)) {
         if (u < ignoreId(i)) { ignoreId(i) = u; domBy(i) = u }
-      } else if (IntSets.subsetOfExcluding(adj, af, au, -1, p, 0, p.length)) {
-        if (i < ignoreId(u)) { ignoreId(u) = i; domBy(u) = i }
+      } else if (i < ignoreId(u) && au - af <= p.length - 1 - k &&
+          IntSets.subsetOfExcluding(adj, af, au, -1, p, k + 1, p.length)) {
+        ignoreId(u) = i; domBy(u) = i
       }
       k += 1
     }

@@ -34,6 +34,4 @@ final class IntStack(initialCapacity: Int = 64) {
     System.arraycopy(arr, 0, dst, 0, len)
     len
   }
-
-  def toArray: Array[Int] = java.util.Arrays.copyOf(arr, len)
 }

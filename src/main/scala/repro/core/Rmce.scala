@@ -50,6 +50,8 @@ object Rmce {
 private object Engine {
   val EmptyInts: Array[Int] = Array.empty[Int]
   val NoReduction = new DynOutcome(EmptyInts, EmptyInts, 0, false, EmptyInts)
+  /** Facen's barren exit: every candidate dropped, nothing hoisted. */
+  val Barren = new DynOutcome(EmptyInts, EmptyInts, 0, true, EmptyInts)
 }
 
 /** One enumeration pass: holds reusable scratch state (never share across
@@ -76,19 +78,12 @@ private final class Engine(
   private val r = new IntStack()
   private val reportBuf = new Array[Int](n + 1)
 
-  private val trace = sys.env.contains("RMCE_DEBUG_TRACE")
-
   /** Translate a label buffer to original ids and report. */
   private val reportLabels: (Array[Int], Int) => Unit = (labels, len) => {
     var i = 0
     while (i < len) { reportBuf(i) = toOrig(labels(i)); i += 1 }
-    if (trace) println(s"REPORT ${reportBuf.take(len).mkString(",")}")
     sink.report(reportBuf, len)
   }
-
-  private def traceCall(tag: String, p: Array[Int], x: Array[Int], ghost: Boolean): Unit =
-    if (trace) println(s"$tag R=${r.toArray.map(toOrig).mkString(",")} " +
-      s"P=${p.map(toOrig).mkString(",")} X=${x.map(toOrig).mkString(",")} ghost=$ghost")
 
   /** Report `R ∪ extra[0,extraLen)`. */
   private val scratch = new Array[Int](n + 1)
@@ -155,11 +150,9 @@ private final class Engine(
   private def recursePivot(p0: Array[Int], x0: Array[Int], revised: Boolean, ghost: Boolean): Unit = {
     metrics.recursiveCalls += 1
     visitAll(p0); visitAll(x0)
-    traceCall("CALL pivot", p0, x0, ghost)
     val out = dynReduce(p0, x0)
     val p = if (cfg.dynamicReduction) out.p else p0
     val x = if (cfg.dynamicReduction) out.x else x0
-    traceCall(s"  after-dyn hoisted=${out.hoisted} removed=${out.removedAny} partners=${out.partners.map(toOrig).mkString(",")}", p, x, ghost)
     if (p.isEmpty) {
       if (x.isEmpty && r.size >= 2 && bareReportAllowed(out, ghost))
         reportRPlus(Engine.EmptyInts, 0)
@@ -328,14 +321,22 @@ private final class Engine(
     private def computeDu(pb: Array[Long]): Unit =
       Bits.forEachBit(pb, 0, w)(u => duScratch(u) = Bits.andPopcount(masks, u * w, pb, 0, w))
 
-    /** Bitset counterpart of [[DynamicReduction]] (same three lemmas, same
-      * bookkeeping; partners are recorded as slot labels). Expects
-      * `duScratch` to hold in-P degrees for `pb0`, and leaves it holding
-      * valid degrees for the returned bitset, so pivot selection reuses the
-      * scan instead of recomputing popcounts. `orX` (the mark bits) is only
-      * built when a degree-0/1 vertex actually exists.
+    /** Bitset counterpart of [[DynamicReduction]] (same barren exit, same
+      * three lemmas, same bookkeeping; partners are recorded as slot
+      * labels). Unless the barren exit fires, it fills `duScratch` with
+      * in-P degrees for `pb0` and leaves it holding valid degrees for the
+      * returned bitset, so pivot selection reuses the scan instead of
+      * recomputing popcounts. `orX` (the mark bits) is only built when a
+      * degree-0/1 vertex actually exists.
       */
     private def dynReduceBits(pb0: Array[Long], xs: Array[Int], pSize: Int): (Array[Long], Array[Int], DynOutcome) = {
+      var i = 0
+      while (i < xs.length) {
+        if (Bits.andPopcount(masks, xs(i) * w, pb0, 0, w) == pSize)
+          return (new Array[Long](w), xs, Engine.Barren)
+        i += 1
+      }
+      computeDu(pb0)
       var anyLow = false
       var anyFull = false
       Bits.forEachBit(pb0, 0, w) { u =>
@@ -352,7 +353,7 @@ private final class Engine(
       var nPartners = 0
       if (anyLow) {
         val orX = new Array[Long](w)
-        var i = 0
+        i = 0
         while (i < xs.length) { Bits.orInto(orX, masks, xs(i) * w, w); i += 1 }
         Bits.forEachBit(pb0, 0, w) { u =>
           if (Bits.testBit(pb, 0, u)) { // not yet removed as a pair partner
@@ -433,11 +434,10 @@ private final class Engine(
       var xs = xSlots
       var out = Engine.NoReduction
       if (!Bits.isEmpty(pb, 0, w)) {
-        computeDu(pb)
         if (cfg.dynamicReduction) {
           val t = dynReduceBits(pb, xs, Bits.popcount(pb, 0, w))
           pb = t._1; xs = t._2; out = t._3
-        }
+        } else computeDu(pb)
       }
       if (Bits.isEmpty(pb, 0, w)) {
         if (xs.isEmpty && r.size >= 2 && bareReportAllowed(out, ghost))

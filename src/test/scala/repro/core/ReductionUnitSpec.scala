@@ -64,6 +64,104 @@ class ReductionUnitSpec extends AnyFunSuite {
     assert(out.p.isEmpty && out.hoisted == 0)
   }
 
+  /** R = {0}, P = {2,3,4} with one P edge 2-3, X = {1}. Vertex 1 is
+    * adjacent to 0, 2, 3 and (if `coverAll`) 4, plus `hubLeaves` extra
+    * leaves, so its degree selects the merge (0) or binary-probe (40)
+    * subset test.
+    */
+  private def barrenCase(coverAll: Boolean, hubLeaves: Int): CsrGraph = {
+    val base = Seq((0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (1, 2), (1, 3))
+    val cover = if (coverAll) Seq((1, 4)) else Seq.empty
+    val leaves = (0 until hubLeaves).map(j => (1, 5 + j))
+    CsrGraph.fromEdges(5 + hubLeaves, base ++ cover ++ leaves)
+  }
+
+  for (hubLeaves <- Seq(0, 40)) {
+    test(s"barren exit: an X vertex covering P empties P untouched (hub leaves $hubLeaves)") {
+      val g = barrenCase(coverAll = true, hubLeaves)
+      val r = new IntStack(); r.push(0)
+      val m = new Metrics(g.n)
+      val out = new DynamicReduction(g.n).apply(g, r, Array(2, 3, 4), Array(1),
+        (_, _) => fail("no report expected"), m)
+      assert(out.p.isEmpty && out.removedAny)
+      assert(out.x.toSeq == Seq(1))
+      assert(out.hoisted == 0 && out.partners.isEmpty)
+      assert(r.size == 1 && r(0) == 0)
+      assert(m.preReportedDynamic == 0)
+    }
+
+    test(s"barren exit: an X vertex missing one P vertex does not fire (hub leaves $hubLeaves)") {
+      val g = barrenCase(coverAll = false, hubLeaves)
+      val r = new IntStack(); r.push(0)
+      val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
+      val out = new DynamicReduction(g.n).apply(g, r, Array(2, 3, 4), Array(1),
+        (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
+      // 4 is degree-0 and unmarked, so {0,4} is reported; {2,3} is then
+      // hoisted and X keeps 1, which is adjacent to both.
+      assert(reports.toSeq == Seq(Set(0, 4)))
+      assert(out.p.isEmpty && out.removedAny && out.hoisted == 2)
+      assert(out.x.toSeq == Seq(1))
+      assert(r.size == 3)
+    }
+  }
+
+  /** Reference for the gated update: the same dominance records and chain
+    * walk as [[ForbiddenSetReduction]], with both Alg. 8 rules tested for
+    * every u ∈ P.
+    */
+  private final class UngatedForbidden(n: Int) {
+    private val ignoreId = Array.fill(n)(n)
+    private val domBy = Array.fill(n)(-1)
+
+    private def prunable(x0: Int, w: Int): Boolean = {
+      if (ignoreId(x0) >= w) return false
+      val seen = scala.collection.mutable.Set(x0)
+      var cur = x0
+      while (true) {
+        val d = domBy(cur)
+        if (!seen.add(d)) return false
+        if (ignoreId(d) >= w) return true
+        cur = d
+      }
+      false
+    }
+
+    def reduceAndUpdate(g: CsrGraph, i: Int, p: Array[Int], x: Array[Int]): Array[Int] = {
+      val x1 = x.filterNot(prunable(_, i))
+      p.foreach { u =>
+        val af = g.split(u)
+        val au = g.offsets(u + 1)
+        if (repro.graph.IntSets.subsetOfExcluding(p, 0, p.length, u, g.adj, af, au)) {
+          if (u < ignoreId(i)) { ignoreId(i) = u; domBy(i) = u }
+        } else if (repro.graph.IntSets.subsetOfExcluding(g.adj, af, au, -1, p, 0, p.length)) {
+          if (i < ignoreId(u)) { ignoreId(u) = i; domBy(u) = i }
+        }
+      }
+      x1
+    }
+  }
+
+  test("gated Alg. 8 update reduces X exactly like the ungated loop") {
+    val graphs =
+      (1 to 6).map(s => gnp(30, 0.15, s)) ++ (1 to 6).map(s => gnp(25, 0.6, s)) ++
+        (1 to 6).map(s => gnp(16, 0.9, s)) ++ (1 to 10).map(mixed(_))
+    var pruned = 0
+    graphs.zipWithIndex.foreach { case (g0, gi) =>
+      val g = g0.relabelled(repro.graph.Degeneracy.decompose(g0).order)
+      val gated = new ForbiddenSetReduction(g.n)
+      val ungated = new UngatedForbidden(g.n)
+      for (i <- 0 until g.n) {
+        val p = g.laterNeighbors(i)
+        val x = g.earlierNeighbors(i)
+        val want = ungated.reduceAndUpdate(g, i, p, x)
+        val got = gated.reduceAndUpdate(g, i, p, x)
+        assert(got.toSeq == want.toSeq, s"graph $gi root $i")
+        pruned += x.length - got.length
+      }
+    }
+    assert(pruned > 0, "the graphs never exercise a prune")
+  }
+
   test("forbidden set reduction never prunes on K6 (mutual dominance cycles)") {
     val d = repro.graph.Degeneracy.decompose(k6)
     val g = k6.relabelled(d.order)

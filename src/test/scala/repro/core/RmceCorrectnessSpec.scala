@@ -21,8 +21,10 @@ class RmceCorrectnessSpec extends AnyFunSuite {
     assert(res.passed, s"property failed: ${res.status}")
   }
 
-  private def check(g: CsrGraph, label: String): Unit = {
-    val expected = BruteForce.maximalCliques(g)
+  private def check(g: CsrGraph, label: String): Unit =
+    checkExpected(g, label, BruteForce.maximalCliques(g))
+
+  private def checkExpected(g: CsrGraph, label: String, expected: Set[Set[Int]]): Unit =
     allConfigs.foreach { cfg =>
       val sink = new CollectingSink
       Rmce.run(g, cfg, sink)
@@ -33,7 +35,6 @@ class RmceCorrectnessSpec extends AnyFunSuite {
           s"\n  missing: ${(expected -- sink.asSet).take(5)}" +
           s"\n  extra:   ${(sink.asSet -- expected).take(5)}")
     }
-  }
 
   private val fixed = Seq(
     "figure2" -> figure2, "paw" -> paw, "diamond" -> diamond, "k4" -> k4,
@@ -69,6 +70,27 @@ class RmceCorrectnessSpec extends AnyFunSuite {
 
   test("all configs match brute force on mixed-regime graphs") {
     for (seed <- 1 to 10) check(mixed(seed), s"mixed-$seed")
+  }
+
+  test("all configs report exactly one clique on K40") {
+    checkExpected(complete(40), "k40", Set((0 until 40).toSet))
+  }
+
+  test("all configs match the closed form on K40 with a pendant fringe") {
+    val (g, expected) = completeWithFringe(40, pendants = 12, bridges = 6)
+    checkExpected(g, "k40-fringe", expected)
+  }
+
+  test("all configs match brute force on a K20 planted in G(60, 0.2)") {
+    check(plantedClique(60, 0.2, 20, seed = 7), "planted-k20")
+  }
+
+  test("all configs report the 3^5 transversals of Moon-Moser 3x5") {
+    val g = moonMoser(5)
+    val expected = BruteForce.maximalCliques(g)
+    assert(expected.size == 243)
+    assert(expected.forall(c => c.size == 5 && c.map(_ / 3).size == 5))
+    checkExpected(g, "moon-moser-3x5", expected)
   }
 
   test("property: random graphs across the density range") {

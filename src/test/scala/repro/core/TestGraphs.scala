@@ -27,7 +27,7 @@ object TestGraphs {
   val diamond: CsrGraph = fromEdges(4, (0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
 
   val k4: CsrGraph = fromEdges(4, (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-  val k6: CsrGraph = fromEdges(6, (for (i <- 0 until 6; j <- (i + 1) until 6) yield (i, j)): _*)
+  val k6: CsrGraph = complete(6)
 
   val path5: CsrGraph = fromEdges(5, (0, 1), (1, 2), (2, 3), (3, 4))
   val cycle6: CsrGraph = fromEdges(6, (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0))
@@ -67,6 +67,49 @@ object TestGraphs {
     }
     CsrGraph.fromEdges(n, edges)
   }
+
+  // Dense cores: the regime where the dynamic and maximality-check
+  // reductions must not cost more than the BK pivot scan they wrap.
+
+  /** The complete graph K_k on `0 until k`. */
+  def complete(k: Int): CsrGraph =
+    CsrGraph.fromEdges(k, for (i <- 0 until k; j <- (i + 1) until k) yield (i, j))
+
+  /** K_k plus a fringe: pendant `k + j` hangs off core vertex `(7j) mod k`
+    * for `j < pendants`, and bridge `k + pendants + j` joins core vertices
+    * `j` and `j + 1` for `j < bridges`. Returns the graph and its maximal
+    * cliques: the core, every pendant edge and every bridge triangle.
+    */
+  def completeWithFringe(k: Int, pendants: Int, bridges: Int): (CsrGraph, Set[Set[Int]]) = {
+    val pend = (0 until pendants).map(j => (k + j, (7 * j) % k))
+    val bridge = (0 until bridges).flatMap { j =>
+      val b = k + pendants + j
+      Seq((b, j), (b, j + 1))
+    }
+    val expected = Set((0 until k).toSet) ++
+      pend.map { case (a, b) => Set(a, b) } ++
+      (0 until bridges).map(j => Set(k + pendants + j, j, j + 1))
+    (CsrGraph.fromEdges(k + pendants + bridges, complete(k).edges ++ pend ++ bridge), expected)
+  }
+
+  /** G(n, p) with a clique planted on `k` vertices spread over the labels
+    * (every `n / k`-th vertex).
+    */
+  def plantedClique(n: Int, p: Double, k: Int, seed: Long): CsrGraph = {
+    val members = (0 until k).map(_ * (n / k))
+    val planted = for (a <- members; b <- members if a < b) yield (a, b)
+    CsrGraph.fromEdges(n, gnp(n, p, seed).edges ++ planted)
+  }
+
+  /** Moon–Moser graph: `t` groups of 3 with every edge between groups; its
+    * maximal cliques are the 3^t transversals.
+    */
+  def moonMoser(t: Int): CsrGraph =
+    CsrGraph.fromEdges(3 * t, for {
+      i <- 0 until 3 * t
+      j <- (i + 1) until 3 * t
+      if i / 3 != j / 3
+    } yield (i, j))
 
   /** All RMCE/BK configurations: 4 recursions × 8 reduction subsets. */
   val allConfigs: Seq[RmceConfig] = for {
