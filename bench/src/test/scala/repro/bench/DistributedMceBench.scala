@@ -3,12 +3,12 @@ package repro.bench
 import repro.SparkSpec
 import repro.harness.Reports
 
-/** Distributed pipeline demonstration: the full RMCE dataflow (DataFrame
-  * global reduction → broadcast CSR → root-task farm) against the baseline
-  * through the same farm, on three of the larger stand-ins. Wall-clock here
-  * includes Spark job scheduling, so this bench validates plumbing and
-  * result equality at scale rather than the algorithmic constants (those
-  * are Fig7SpeedupBench's job).
+/** Distributed pipeline demonstration: the full RMCE pipeline (collect →
+  * driver-side global reduction and degeneracy order → broadcast CSR →
+  * root-task farm) against the baseline through the same farm, on three of
+  * the larger stand-ins. Wall-clock here includes Spark job scheduling, so
+  * this bench validates plumbing and result equality at scale rather than
+  * the algorithmic constants (those are Fig7SpeedupBench's job).
   */
 class DistributedMceBench extends SparkSpec {
 

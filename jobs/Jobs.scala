@@ -57,7 +57,7 @@ object Fig11Visits {
   def main(args: Array[String]): Unit = println(Reports.fig11()._1)
 }
 
-/** Distributed pipeline demo: dataflow reduction + root-task farm. */
+/** Distributed pipeline demo: driver-side prepare + root-task farm. */
 object DistributedDemo {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.session("distributed-rmce")

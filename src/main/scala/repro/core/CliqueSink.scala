@@ -35,6 +35,23 @@ object CliqueSink {
     }
     mix64(s ^ java.lang.Long.rotateLeft(x, 32) ^ len.toLong)
   }
+
+  /** [[cliqueHash]] of the clique's ids mapped through `toLong`, for sinks
+    * whose graph was compacted from Long ids: the hash then depends only on
+    * the original ids, not on the compaction.
+    */
+  def cliqueHash(vertices: Array[Int], len: Int, toLong: Array[Long]): Long = {
+    var s = 0L
+    var x = 0L
+    var i = 0
+    while (i < len) {
+      val h = mix64(toLong(vertices(i)))
+      s += h
+      x ^= h
+      i += 1
+    }
+    mix64(s ^ java.lang.Long.rotateLeft(x, 32) ^ len.toLong)
+  }
 }
 
 /** Counts cliques and keeps an order-independent multiset checksum, so two

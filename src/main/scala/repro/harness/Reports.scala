@@ -247,8 +247,11 @@ object Reports {
   }
 
   // -------------------------------------------------------------------
-  // Distributed pipeline demonstration (wall-clock includes Spark
-  // scheduling; algorithmic shape comes from the kernel benches above).
+  // Distributed pipeline demonstration. Each run collects the edges to
+  // the driver, prepares there (global reduction for RMCE, degeneracy
+  // order for both) and farms the root search over Spark tasks; wall-clock
+  // includes Spark scheduling, algorithmic shape comes from the kernel
+  // benches above.
   // -------------------------------------------------------------------
   final case class DistRow(abbr: String, algo: String, timeMs: Double,
                            cliques: Long, reducedN: Int)

@@ -1,35 +1,19 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{LongType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.{CliqueSink, GlobalReduction, Metrics}
 import scala.collection.mutable
 
-/** Global reduction (Section 4) as a batch-synchronous DataFrame fix-point —
-  * the distributed counterpart of the sequential Algorithms 5/6.
+/** Global reduction (Section 4) of an edge DataFrame: the edge table is
+  * collected to the driver as in [[DistributedMCE]] and reduced by the
+  * sequential [[repro.core.GlobalReduction]]; the reduced edges come back,
+  * in the original Long ids, as a DataFrame.
   *
-  * Per outer round:
-  *
-  *  1. '''degree-1 peel''' (Lemma 2) to an inner fix-point: every edge with a
-  *     degree-1 endpoint is a maximal 2-clique; report and delete. Batch
-  *     safety is free — a degree-1 vertex has no common neighbour with its
-  *     only peer, and canonical edges dedupe the both-endpoints-degree-1
-  *     case.
-  *  2. '''non-triangle edge rule''' (Lemma 4): edges with zero triangle
-  *     support are maximal 2-cliques; report and delete. Deleting a batch is
-  *     safe because a support-0 edge participates in no triangle, so its
-  *     deletion cannot change any other edge's support.
-  *  3. '''degree-2 rule''' (Lemma 3): applied only to an independent set of
-  *     candidates — a degree-2 vertex is selected iff it has the minimum id
-  *     among candidates within two hops. Selected candidates have disjoint
-  *     neighbourhoods and their case analysis (is `(u,w)` an edge? do `u,w`
-  *     share another neighbour?) cannot be invalidated by each other's
-  *     deletions. The global minimum candidate is always selected, so the
-  *     fix-point makes progress every round.
-  *
-  * Degree-0 vertices vanish implicitly (vertices exist only through edges).
-  * The invariant `mc(G) = mc(G′) + α(ΔV, ΔE)` is checked in tests by
-  * brute-force enumeration on both sides.
+  * `DistributedMCE` does not call this: it runs the same reduction inside
+  * `Rmce.prepare`. The object is kept as the DataFrame-level entry point
+  * that the benchmark's standalone `spark.reduction` layer times and that
+  * `DistributedReductionSpec` checks the invariant
+  * `mc(G) = mc(G′) + α(ΔV, ΔE)` through.
   */
 object DistributedReduction {
 
@@ -39,134 +23,16 @@ object DistributedReduction {
       deletedVertices: Long,
       deletedEdges: Long)
 
-  private def vertexDF(spark: SparkSession, vs: Seq[Long], name: String): DataFrame =
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(vs.map(Row(_)), math.max(1, math.min(8, vs.size))),
-      StructType(Seq(StructField(name, LongType))))
-
-  def apply(spark: SparkSession, edges0: DataFrame): Result = {
-    var edges = GraphOps.canonicalEdges(edges0).localCheckpoint(true)
-    val initialEdges = edges.count()
-    val initialVertices =
-      if (initialEdges == 0) 0L
-      else GraphOps.degrees(edges).count()
-    val reports = mutable.ArrayBuffer.empty[Array[Long]]
-
-    /** Delete all edges incident to the given vertices. */
-    def dropVertices(vs: Seq[Long]): Unit = {
-      if (vs.nonEmpty) {
-        val rm = vertexDF(spark, vs, "rv")
-        edges = edges
-          .join(rm, edges("src") === rm("rv"), "left_anti")
-          .join(rm, edges("dst") === rm("rv"), "left_anti")
-          .localCheckpoint(true)
-      }
+  def apply(spark: SparkSession, edges: DataFrame): Result = {
+    val (g, toLong) = DistributedMCE.collectGraph(edges)
+    val cliques = mutable.ArrayBuffer.empty[Array[Long]]
+    val sink = new CliqueSink {
+      override def report(vertices: Array[Int], len: Int): Unit =
+        cliques += Array.tabulate(len)(i => toLong(vertices(i)))
     }
-
-    var outerChanged = true
-    while (outerChanged) {
-      outerChanged = false
-
-      // Step 1: degree-1 peel to fix-point.
-      var inner = true
-      while (inner) {
-        inner = false
-        val deg1 = GraphOps.degrees(edges).where(col("degree") === 1).select(col("v"))
-        val d1 = deg1.collect().map(_.getLong(0))
-        if (d1.nonEmpty) {
-          inner = true
-          outerChanged = true
-          val rm = vertexDF(spark, d1.toSeq, "rv")
-          val affected = edges
-            .join(rm, edges("src") === rm("rv") || edges("dst") === rm("rv"), "left_semi")
-            .collect()
-          affected.foreach(r => reports += Array(r.getLong(0), r.getLong(1)))
-          dropVertices(d1.toSeq)
-        }
-      }
-
-      // Step 2: non-triangle edge rule.
-      val nt = GraphOps.edgeSupport(edges).where(col("support") === 0)
-        .select(col("src"), col("dst")).collect()
-      if (nt.nonEmpty) {
-        outerChanged = true
-        nt.foreach(r => reports += Array(r.getLong(0), r.getLong(1)))
-        val ntDf = spark.createDataFrame(
-          spark.sparkContext.parallelize(nt.toSeq, math.max(1, math.min(8, nt.length))),
-          StructType(Seq(StructField("nsrc", LongType), StructField("ndst", LongType))))
-        edges = edges
-          .join(ntDf, edges("src") === ntDf("nsrc") && edges("dst") === ntDf("ndst"), "left_anti")
-          .localCheckpoint(true)
-        // New degree-1/0 vertices are picked up by the next outer round.
-      } else {
-        // Step 3: degree-2 rule on a 2-hop independent set of candidates.
-        val sym = GraphOps.symmetric(edges)
-        val cand = GraphOps.degrees(edges).where(col("degree") === 2).select(col("v"))
-        if (cand.count() > 0) {
-          // a(x) = min candidate id in N(x) ∪ ({x} if x is a candidate)
-          val candAdj = sym.join(cand, sym("src") === cand("v"))
-            .select(sym("dst").as("x"), sym("src").as("c"))
-          val candSelf = cand.select(col("v").as("x"), col("v").as("c"))
-          val aMin = candAdj.union(candSelf).groupBy(col("x")).agg(min(col("c")).as("a"))
-          // m(v) = min over a(x) for x ∈ N(v) ∪ {v}
-          val nbrA = sym.join(cand, sym("src") === cand("v"))
-            .select(sym("src").as("vv"), sym("dst").as("x"))
-            .join(aMin, "x").select(col("vv"), col("a"))
-          val selfA = cand.join(aMin, cand("v") === aMin("x")).select(cand("v").as("vv"), col("a"))
-          val selected = nbrA.union(selfA).groupBy(col("vv")).agg(min(col("a")).as("m"))
-            .where(col("m") === col("vv")).select(col("vv").as("v"))
-
-          // Gather each selected candidate's two neighbours.
-          val triples = sym.join(selected, sym("src") === selected("v"), "left_semi")
-            .groupBy(col("src").as("v"))
-            .agg(min(col("dst")).as("u"), max(col("dst")).as("w"))
-          // (u,w) adjacency flag.
-          val canon = edges
-          val withEdge = triples.join(
-              canon.select(col("src").as("u"), col("dst").as("w"), lit(true).as("uw")),
-              Seq("u", "w"), "left")
-            .select(col("v"), col("u"), col("w"), coalesce(col("uw"), lit(false)).as("uwEdge"))
-          // Does (u,w) have a common neighbour other than v?
-          val su = sym.select(col("src").as("u"), col("dst").as("cn"))
-          val sw = sym.select(col("src").as("w"), col("dst").as("cn"))
-          val commons = withEdge.join(su, "u").join(sw, Seq("w", "cn"))
-            .where(col("cn") =!= col("v"))
-            .select(col("v")).distinct().withColumn("hasCommon", lit(true))
-          val resolved = withEdge.join(commons, Seq("v"), "left")
-            .select(col("v"), col("u"), col("w"), col("uwEdge"),
-              coalesce(col("hasCommon"), lit(false)).as("hasCommon"))
-            .collect()
-
-          if (resolved.nonEmpty) {
-            outerChanged = true
-            val dropUw = mutable.ArrayBuffer.empty[(Long, Long)]
-            resolved.foreach { r =>
-              val v = r.getLong(0); val u = r.getLong(1); val w = r.getLong(2)
-              val uwEdge = r.getBoolean(3); val hasCommon = r.getBoolean(4)
-              if (!uwEdge) {
-                reports += Array(v, u)
-                reports += Array(v, w)
-              } else {
-                reports += Array(v, u, w)
-                if (!hasCommon) dropUw += ((u, w)) // Lemma 3 case 2
-              }
-            }
-            dropVertices(resolved.map(_.getLong(0)).toSeq)
-            if (dropUw.nonEmpty) {
-              val dDf = spark.createDataFrame(
-                spark.sparkContext.parallelize(dropUw.toSeq.map(t => Row(t._1, t._2)), 4),
-                StructType(Seq(StructField("du", LongType), StructField("dw", LongType))))
-              edges = edges
-                .join(dDf, edges("src") === dDf("du") && edges("dst") === dDf("dw"), "left_anti")
-                .localCheckpoint(true)
-            }
-          }
-        }
-      }
-    }
-
-    val finalEdges = edges.count()
-    val finalVertices = if (finalEdges == 0) 0L else GraphOps.degrees(edges).count()
-    Result(edges, reports.toSeq, initialVertices - finalVertices, initialEdges - finalEdges)
+    val r = GlobalReduction(g, sink, new Metrics(g.n))
+    import spark.implicits._
+    val reduced = r.reduced.edges.toSeq.map { case (u, v) => (toLong(u), toLong(v)) }.toDF("src", "dst")
+    Result(reduced, cliques.toSeq, r.deletedVertices, r.deletedEdges)
   }
 }

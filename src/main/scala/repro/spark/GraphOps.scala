@@ -34,33 +34,6 @@ object GraphOps {
   def degrees(edges: DataFrame): DataFrame =
     symmetric(edges).groupBy(col("src").as("v")).agg(count(lit(1)).as("degree"))
 
-  /** Per-edge triangle support `(src, dst, support)`: the number of common
-    * neighbours of the endpoints. Edges in no triangle have `support = 0`
-    * (kept via left join) — these are the paper's non-triangle edges
-    * (Definition 8).
-    */
-  def edgeSupport(edges: DataFrame): DataFrame = {
-    val canon = canonicalEdges(edges)
-    val sym = symmetric(edges)
-    val a = sym.select(col("src").as("u"), col("dst").as("w"))
-    val b = sym.select(col("src").as("v"), col("dst").as("w"))
-    val wedges = a.join(b, "w").where(col("u") < col("v"))
-    val closed = wedges
-      .join(canon, wedges("u") === canon("src") && wedges("v") === canon("dst"))
-      .groupBy(col("src"), col("dst"))
-      .agg(count(lit(1)).as("support"))
-    canon
-      .join(closed, Seq("src", "dst"), "left")
-      .select(col("src"), col("dst"), coalesce(col("support"), lit(0L)).as("support"))
-  }
-
-  /** Total number of triangles in the graph. */
-  def triangleCount(edges: DataFrame): Long = {
-    val row = edgeSupport(edges).agg(sum(col("support")).as("s")).collect()(0)
-    val total = if (row.isNullAt(0)) 0L else row.getLong(0)
-    total / 3
-  }
-
   /** Graph statistics used by Table 2: `(vertices, edges, maxDegree)`. */
   def basicStats(edges: DataFrame): (Long, Long, Long) = {
     val deg = degrees(edges).agg(

@@ -12,11 +12,19 @@ import repro.graph.CsrGraph
   */
 class DistributedMCESpec extends SparkSpec {
 
-  private def df(edges: Seq[(Int, Int)]): DataFrame = {
+  private def df(edges: Seq[(Int, Int)]): DataFrame =
+    dfLong(edges.map(e => (e._1.toLong, e._2.toLong)))
+
+  private def dfLong(edges: Seq[(Long, Long)]): DataFrame = {
     val s = spark
     import s.implicits._
-    edges.map(e => (e._1.toLong, e._2.toLong)).toDF("src", "dst")
+    edges.toDF("src", "dst")
   }
+
+  /** Vertex ids spread above `Int.MaxValue`, so only the Long id table can
+    * tell them apart.
+    */
+  private def shifted(id: Int): Long = id * (1L << 33) + 7
 
   private val mainConfigs = Seq(
     RmceConfig.baseline(RecursionKind.Degen),
@@ -25,21 +33,29 @@ class DistributedMCESpec extends SparkSpec {
     RmceConfig.rmce(RecursionKind.Facen),
     RmceConfig.rmce(RecursionKind.Revised))
 
-  private def checkDistVsLocal(edges: Seq[(Int, Int)], label: String): Unit = {
-    val e = df(edges)
-    mainConfigs.foreach { cfg =>
+  private def checkDistVsLocal(edges: Seq[(Int, Int)], label: String): Unit =
+    checkDistVsLocal(df(edges), label)
+
+  /** Returns the distributed results, one per config. */
+  private def checkDistVsLocal(e: DataFrame, label: String): Seq[DistributedMCE.Result] =
+    mainConfigs.map { cfg =>
       val d = DistributedMCE.run(spark, e, cfg, numTasks = 7)
       val l = DistributedMCE.runLocal(spark, e, cfg)
       assert(d.cliqueCount == l.cliqueCount,
         s"$label/${cfg.label}: count ${d.cliqueCount} != local ${l.cliqueCount}")
       assert(d.checksum == l.checksum, s"$label/${cfg.label}: checksum mismatch")
+      d
     }
-  }
 
   test("distributed equals local on mixed-regime graphs") {
     for (seed <- 1 to 3) {
       val g = TestGraphs.mixed(seed)
       checkDistVsLocal(g.edges.toSeq, s"mixed-$seed")
+    }
+    val g = TestGraphs.mixed(1)
+    checkDistVsLocal(dfLong(g.edges.toSeq.map(e => (shifted(e._1), shifted(e._2)))), "mixed-1-shifted")
+    checkDistVsLocal(dfLong(Seq.empty), "empty").foreach { d =>
+      assert(d.cliqueCount == 0 && d.checksum == 0, "empty: cliques reported")
     }
   }
 
@@ -63,6 +79,12 @@ class DistributedMCESpec extends SparkSpec {
       assert(got.size == got.toSet.size, s"${cfg.label}: duplicates")
       assert(got.toSet == expected, s"${cfg.label}: clique set mismatch")
     }
+    val wide = DistributedMCE.cliques(spark,
+      dfLong(g.edges.toSeq.map(e => (shifted(e._1), shifted(e._2)))),
+      RmceConfig.rmce(RecursionKind.Degen), numTasks = 5).collect().map(_.getString(0)).toSeq
+    assert(wide.size == expected.size, "shifted ids: clique count mismatch")
+    assert(wide.map(_.split(",").map(id => ((id.toLong - 7) >> 33).toInt).toSet).toSet ==
+      BruteForce.maximalCliques(g), "shifted ids: clique set mismatch")
   }
 
   test("fully-reducible graph (grid): everything pre-reported, zero roots") {

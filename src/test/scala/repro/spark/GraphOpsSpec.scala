@@ -1,6 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 
 /** DataFrame graph ops checked row-for-row against DuckDB SQL over the same
@@ -41,63 +42,12 @@ class GraphOpsSpec extends SparkSpec {
       "e" -> canon)
   }
 
-  test("edgeSupport matches DuckDB common-neighbour counts (incl. zero)") {
-    val canon = GraphOps.canonicalEdges(raw)
-    Oracle.assertEquivalent(
-      GraphOps.edgeSupport(canon),
-      """WITH sym AS (
-        |  SELECT CAST(src AS BIGINT) AS u, CAST(dst AS BIGINT) AS w FROM e
-        |  UNION ALL
-        |  SELECT CAST(dst AS BIGINT), CAST(src AS BIGINT) FROM e),
-        |tri AS (
-        |  SELECT a.u AS src, b.u AS dst, COUNT(*) AS c
-        |  FROM sym a JOIN sym b ON a.w = b.w
-        |  WHERE a.u < b.u
-        |  GROUP BY a.u, b.u)
-        |SELECT CAST(e.src AS BIGINT) AS src, CAST(e.dst AS BIGINT) AS dst,
-        |       COALESCE(tri.c, 0) AS support
-        |FROM e LEFT JOIN tri
-        |  ON CAST(e.src AS BIGINT) = tri.src AND CAST(e.dst AS BIGINT) = tri.dst""".stripMargin,
-      "e" -> canon)
-  }
-
-  test("edgeSupport on a clique-rich stand-in matches DuckDB") {
-    val g = repro.gen.GraphGen.cliqueUnion(60, 25, 3, 5, 0.3, 21)
-    val edges = df(g.edges.toSeq.map(e => (e._1.toLong, e._2.toLong)))
-    Oracle.assertEquivalent(
-      GraphOps.edgeSupport(edges),
-      """WITH sym AS (
-        |  SELECT CAST(src AS BIGINT) AS u, CAST(dst AS BIGINT) AS w FROM e
-        |  UNION ALL
-        |  SELECT CAST(dst AS BIGINT), CAST(src AS BIGINT) FROM e),
-        |tri AS (
-        |  SELECT a.u AS src, b.u AS dst, COUNT(*) AS c
-        |  FROM sym a JOIN sym b ON a.w = b.w
-        |  WHERE a.u < b.u
-        |  GROUP BY a.u, b.u)
-        |SELECT CAST(e.src AS BIGINT) AS src, CAST(e.dst AS BIGINT) AS dst,
-        |       COALESCE(tri.c, 0) AS support
-        |FROM e LEFT JOIN tri
-        |  ON CAST(e.src AS BIGINT) = tri.src AND CAST(e.dst AS BIGINT) = tri.dst""".stripMargin,
-      "e" -> edges)
-  }
-
-  test("triangleCount: known values") {
-    assert(GraphOps.triangleCount(df(Seq((0L, 1L), (1L, 2L), (0L, 2L)))) == 1L)
-    assert(GraphOps.triangleCount(df(Seq((0L, 1L), (1L, 2L), (2L, 3L)))) == 0L)
-    // K4 has 4 triangles
-    val k4 = df(for { i <- 0 to 3; j <- (i + 1) to 3 } yield (i.toLong, j.toLong))
-    assert(GraphOps.triangleCount(k4) == 4L)
-  }
-
-  test("triangleCount matches CSR-side count on a random graph") {
-    val g = repro.gen.GraphGen.erdosRenyi(80, 8.0, 17)
-    val csr = g.toCsr
-    var local = 0L
-    for ((u, v) <- g.edges)
-      local += repro.graph.IntSets.intersectSize(csr.neighbors(u), csr.neighbors(v))
-    val edges = df(g.edges.toSeq.map(e => (e._1.toLong, e._2.toLong)))
-    assert(GraphOps.triangleCount(edges) == local / 3)
+  test("Datasets.edgesDF returns canonical edges for a dataset stand-in") {
+    val e = repro.gen.Datasets.edgesDF(spark, "rc")
+    assert(e.columns.toSeq == Seq("src", "dst"))
+    val bad = e.where(col("src") >= col("dst")).count()
+    assert(bad == 0, "edges must be canonical src < dst")
+    assert(e.count() == repro.gen.Datasets.byAbbr("rc").graph.edges.length.toLong)
   }
 
   test("basicStats") {
