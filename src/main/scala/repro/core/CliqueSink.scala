@@ -56,27 +56,15 @@ object CliqueSink {
 
 /** Counts cliques and keeps an order-independent multiset checksum, so two
   * algorithms can be checked for identical clique sets without materialising
-  * them. Also tracks the size histogram and the largest clique.
+  * them.
   */
 final class CountingSink extends CliqueSink with Serializable {
   var count: Long = 0L
   var checksum: Long = 0L
-  var maxSize: Int = 0
-  val sizeHist: mutable.LongMap[Long] = mutable.LongMap.empty
 
   override def report(vertices: Array[Int], len: Int): Unit = {
     count += 1
     checksum += CliqueSink.cliqueHash(vertices, len)
-    if (len > maxSize) maxSize = len
-    sizeHist(len.toLong) = sizeHist.getOrElse(len.toLong, 0L) + 1L
-  }
-
-  def merge(other: CountingSink): CountingSink = {
-    count += other.count
-    checksum += other.checksum
-    if (other.maxSize > maxSize) maxSize = other.maxSize
-    other.sizeHist.foreach { case (k, v) => sizeHist(k) = sizeHist.getOrElse(k, 0L) + v }
-    this
   }
 }
 

@@ -2,30 +2,17 @@ package repro.core
 
 import repro.graph.{CsrGraph, IntSets}
 
-/** Outcome of one dynamic-reduction application.
-  *
-  * Beyond the reduced sets, it carries the bookkeeping needed to keep the
-  * BK maximality invariant honest: a vertex removed by the degree-0/1 rules
-  * is adjacent to all of `R` but lands in neither `P` nor `X`, so it can
-  * still extend exactly two shapes of clique — bare `R`, and (for a removed
-  * degree-1 vertex) `R ∪ {its surviving partner}`. `removedAny` and
-  * `partners` let the recursion suppress precisely those reports (and flag
-  * the partner's branch) instead of emitting non-maximal cliques. See the
-  * scaladoc of [[DynamicReduction]] for the full argument.
+/** Outcome of one dynamic-reduction application: the reduced `P` and `X`,
+  * the vertices the degree-0/1 rules `removed` from `P` (sorted), and the
+  * number of Lemma 8 vertices `hoisted` onto `R`. The caller treats
+  * `removed` as part of `X`: those vertices are adjacent to all of `R` but
+  * are no longer candidates.
   */
 final class DynOutcome(
     val p: Array[Int],
     val x: Array[Int],
-    val hoisted: Int,
-    val removedAny: Boolean,
-    val partners: Array[Int]) {
-
-  def partnerContains(v: Int): Boolean = {
-    var i = 0
-    while (i < partners.length) { if (partners(i) == v) return true; i += 1 }
-    false
-  }
-}
+    val removed: Array[Int],
+    val hoisted: Int)
 
 /** Dynamic vertex reduction (Section 5, Alg. 7) for one subproblem
   * `(R, P, X)`:
@@ -36,37 +23,31 @@ final class DynOutcome(
   *     pair is reported and the vertex dropped when either endpoint has no
   *     neighbour in `X`;
   *  3. dynamic degree-(|P|−1) vertices (Lemma 8) — hoisted straight into
-  *     `R`, with `X` re-intersected against their neighbourhoods (Alg. 7
-  *     line 15).
+  *     `R`, with `X` and the removed vertices re-intersected against their
+  *     neighbourhoods (Alg. 7 line 15).
   *
   * All three are preceded by a '''barren exit'''. If some `x ∈ X` is
   * adjacent to every vertex of `P`, every clique of the subtree extends by
   * `x`, so none is maximal; and every `P` vertex is marked, so rules 1-2
-  * would report nothing. The call then returns an empty `P` (`X`
-  * unchanged, `removedAny` set) without paying the degree scan. On a dense
-  * core this prunes the same calls that BK's pivot scan prunes.
+  * would report nothing. The call then returns an empty `P` and `X`
+  * unchanged (it still holds `x`), without paying the degree scan. On a
+  * dense core this prunes the same calls that BK's pivot scan prunes.
   *
   * A vertex `u ∈ P` is "marked" iff `N(u) ∩ X ≠ ∅`; marks are computed
-  * *lazily* (only for the few degree-0/1 vertices and their partners) and
-  * memoised per call, so the common case pays one generation-stamped degree
-  * scan and nothing else. Scratch arrays are generation-stamped so repeated
-  * calls never pay a clear.
+  * *lazily* (only for the few degree-0/1 vertices and their P-neighbours)
+  * and memoised per call, so the common case pays one generation-stamped
+  * degree scan and nothing else. Scratch arrays are generation-stamped so
+  * repeated calls never pay a clear.
   *
-  * '''Maximality bookkeeping.''' Removing `u` from `P` without adding it to
-  * `X` breaks the invariant "every processed vertex adjacent to all of `R`
-  * is in `X`". The break is narrow: `u` is adjacent to `R ∪ S` (`S ⊆ P`)
-  * only for `S ⊆ N_P(u)`, i.e. `S = ∅` (degree-0) or `S ⊆ {v}` (degree-1
-  * with partner `v`). Hence only the reports of bare `R` and of
-  * `R ∪ {v}` are at risk — everything else still has all its extenders in
-  * `P ∪ X`. The recursion consumes `removedAny`/`partners` to suppress
-  * exactly those (a hoist of ≥2 vertices, or of any non-partner vertex,
-  * re-legitimises the report since removed vertices are adjacent to at most
-  * one `P` member). The instance is stateful scratch space — one per
+  * '''Maximality bookkeeping.''' A vertex dropped by rules 1-2 is adjacent
+  * to all of `R`, so the caller puts it in `X`, as BK does with every vertex
+  * it has finished with. It has at most one neighbour in `P`, so the pivot
+  * scan leaves it out. The instance is stateful scratch space — one per
   * enumeration run (or per Spark task), never shared across threads.
   */
 final class DynamicReduction(n: Int) {
   private val inP = new Array[Int](n)        // stamp: member of current P
-  private val removed = new Array[Int](n)    // stamp: dropped from P this call
+  private val dropped = new Array[Int](n)    // stamp: removed from P this call
   private val degP = new Array[Int](n)       // |N(v) ∩ P| for v ∈ P
   private val onlyNbr = new Array[Int](n)    // the single P-neighbour when degP==1
   private val markKnown = new Array[Int](n)  // stamp: mark memoised this call
@@ -75,8 +56,8 @@ final class DynamicReduction(n: Int) {
 
   def apply(g: CsrGraph, r: IntStack, p: Array[Int], x: Array[Int],
             report: (Array[Int], Int) => Unit, metrics: Metrics): DynOutcome = {
-    if (p.isEmpty) return new DynOutcome(p, x, 0, false, Array.empty)
-    if (barren(g, p, x)) return new DynOutcome(Engine.EmptyInts, x, 0, true, Engine.EmptyInts)
+    if (p.isEmpty) return new DynOutcome(p, x, Engine.EmptyInts, 0)
+    if (barren(g, p, x)) return new DynOutcome(Engine.EmptyInts, x, Engine.EmptyInts, 0)
     gen += 1
     val myGen = gen
     val adj = g.adj
@@ -118,15 +99,13 @@ final class DynamicReduction(n: Int) {
     }
 
     // Pass 1: dynamic degree-0 (Lemma 5) and relaxed degree-1 (Lemma 7).
-    var removedAny = false
-    var partners: Array[Int] = null
-    var nPartners = 0
+    var nDropped = 0
     if (anyLow) {
       val buf = new Array[Int](r.size + 2)
       i = 0
       while (i < p.length) {
         val v = p(i)
-        if (removed(v) != myGen) {
+        if (dropped(v) != myGen) {
           if (degP(v) == 0) {
             if (!marked(v)) {
               val len = r.copyInto(buf)
@@ -134,28 +113,21 @@ final class DynamicReduction(n: Int) {
               report(buf, len + 1)
               metrics.preReportedDynamic += 1
             }
-            removed(v) = myGen
-            removedAny = true
+            dropped(v) = myGen
+            nDropped += 1
           } else if (degP(v) == 1) {
             val u = onlyNbr(v)
-            // u cannot already be removed: a removed degree-0 vertex has no
-            // P-neighbour and a removed degree-1 partner implies v is gone
+            // u cannot already be dropped: a dropped degree-0 vertex has no
+            // P-neighbour and a dropped degree-1 partner implies v is gone
             // too.
             if (!marked(v) || !marked(u)) {
               val len = r.copyInto(buf)
               buf(len) = v; buf(len + 1) = u
               report(buf, len + 2)
               metrics.preReportedDynamic += 1
-              removed(v) = myGen
-              removedAny = true
-              if (degP(u) == 1) removed(u) = myGen // its only neighbour was v
-              else {
-                // u survives: R ∪ {u} is extendable by the removed v —
-                // record it so the recursion suppresses that one report.
-                if (partners == null) partners = new Array[Int](p.length)
-                partners(nPartners) = u
-                nPartners += 1
-              }
+              dropped(v) = myGen
+              nDropped += 1
+              if (degP(u) == 1) { dropped(u) = myGen; nDropped += 1 } // its only neighbour was v
             }
           }
         }
@@ -164,19 +136,19 @@ final class DynamicReduction(n: Int) {
     }
 
     var p1 = p
-    if (removedAny) {
-      var kept = 0
-      i = 0
-      while (i < p.length) { if (removed(p(i)) != myGen) kept += 1; i += 1 }
-      val out = new Array[Int](kept)
+    var removed = Engine.EmptyInts
+    if (nDropped > 0) {
+      p1 = new Array[Int](p.length - nDropped)
+      removed = new Array[Int](nDropped)
       var k = 0
+      var d = 0
       i = 0
       while (i < p.length) {
         val v = p(i)
-        if (removed(v) != myGen) { out(k) = v; k += 1 }
+        if (dropped(v) != myGen) { p1(k) = v; k += 1 }
+        else { removed(d) = v; d += 1 }
         i += 1
       }
-      p1 = out
     }
 
     // Pass 2: dynamic degree-(|P′|−1) (Lemma 8) over the (possibly shrunk)
@@ -186,8 +158,8 @@ final class DynamicReduction(n: Int) {
     // otherwise the first scan's values are still valid.
     var hoisted = 0
     var x1 = x
-    if (p1.length > 0 && (anyFull || removedAny)) {
-      if (removedAny) {
+    if (p1.length > 0 && (anyFull || nDropped > 0)) {
+      if (nDropped > 0) {
         gen += 1
         val g2 = gen
         i = 0
@@ -208,6 +180,7 @@ final class DynamicReduction(n: Int) {
       if (anyFull) {
         val keep = new Array[Int](p1.length)
         var k = 0
+        var nRemoved = removed.length
         i = 0
         while (i < p1.length) {
           val v = p1(i)
@@ -215,18 +188,26 @@ final class DynamicReduction(n: Int) {
             r.push(v)
             hoisted += 1
             x1 = IntSets.intersect(x1, 0, x1.length, adj, off(v), off(v + 1))
+            // A removed vertex has at most one P-neighbour, so this keeps
+            // only those whose one P-neighbour is v; binary probes suffice.
+            var kept = 0
+            var j = 0
+            while (j < nRemoved) {
+              val u = removed(j)
+              if (IntSets.contains(adj, off(v), off(v + 1), u)) { removed(kept) = u; kept += 1 }
+              j += 1
+            }
+            nRemoved = kept
           } else {
             keep(k) = v; k += 1
           }
           i += 1
         }
         p1 = java.util.Arrays.copyOf(keep, k)
+        if (nRemoved < removed.length) removed = java.util.Arrays.copyOf(removed, nRemoved)
       }
     }
-    val partnersOut =
-      if (partners == null) Engine.EmptyInts
-      else java.util.Arrays.copyOf(partners, nPartners)
-    new DynOutcome(p1, x1, hoisted, removedAny, partnersOut)
+    new DynOutcome(p1, x1, removed, hoisted)
   }
 
   /** Does some `x ∈ X` cover `P` (`P ⊆ N(x)`)? Each test stops at the first

@@ -49,19 +49,15 @@ object Rmce {
 
 private object Engine {
   val EmptyInts: Array[Int] = Array.empty[Int]
-  val NoReduction = new DynOutcome(EmptyInts, EmptyInts, 0, false, EmptyInts)
-  /** Facen's barren exit: every candidate dropped, nothing hoisted. */
-  val Barren = new DynOutcome(EmptyInts, EmptyInts, 0, true, EmptyInts)
 }
 
 /** One enumeration pass: holds reusable scratch state (never share across
   * threads).
   *
-  * Report-suppression protocol (see [[DynOutcome]]): `ghost = true` on a
-  * call means a vertex removed by the parent's dynamic reduction is
-  * adjacent to this call's entire `R`, so the *bare* `R` must not be
-  * reported; any extension of `R` (a hoist or a branch) is unaffected
-  * because removed vertices are adjacent to at most one candidate.
+  * Every recursion keeps the BK invariant "every vertex adjacent to all of
+  * `R` is in `P ∪ X`": vertices the dynamic reduction drops from `P`
+  * ([[DynOutcome.removed]]) join `X` for the branches and the base case,
+  * but are not scored as pivots.
   */
 private final class Engine(
     g: CsrGraph,
@@ -114,9 +110,9 @@ private final class Engine(
         r.clear()
         r.push(i)
         cfg.recursion match {
-          case RecursionKind.Degen   => recursePivot(p, x, revised = false, ghost = false)
-          case RecursionKind.Revised => recursePivot(p, x, revised = true, ghost = false)
-          case RecursionKind.Rcd     => recurseRcd(p, x, ghost = false)
+          case RecursionKind.Degen   => recursePivot(p, x, revised = false)
+          case RecursionKind.Revised => recursePivot(p, x, revised = true)
+          case RecursionKind.Rcd     => recurseRcd(p, x)
           case RecursionKind.Facen   => new FacenRoot(p, x).run()
         }
       }
@@ -126,18 +122,13 @@ private final class Engine(
   /** Dynamic reduction hook shared by the array-based recursions. */
   private def dynReduce(p: Array[Int], x: Array[Int]): DynOutcome =
     if (cfg.dynamicReduction) dyn.apply(g, r, p, x, reportLabels, metrics)
-    else new DynOutcome(p, x, 0, false, Engine.EmptyInts)
+    else new DynOutcome(p, x, Engine.EmptyInts, 0)
 
-  /** May the bare `R` (including `out.hoisted` freshly hoisted vertices) be
-    * reported? A hoist of ≥2 vertices, or of any vertex that is not the
-    * surviving partner of a removed degree-1 vertex, kills every pending
-    * threat (removed vertices are adjacent to at most one candidate; the
-    * parent's ghost vertex is adjacent to none of this call's candidates).
-    */
-  private def bareReportAllowed(out: DynOutcome, ghost: Boolean): Boolean =
-    if (out.hoisted == 0) !(ghost || out.removedAny)
-    else if (out.hoisted == 1) !out.partnerContains(r(r.size - 1))
-    else true
+  /** `x` plus the vertices the dynamic reduction removed from `P`. */
+  private def withRemoved(x: Array[Int], out: DynOutcome): Array[Int] =
+    if (out.removed.isEmpty) x
+    else if (x.isEmpty) out.removed
+    else IntSets.union(x, out.removed)
 
   private def scoreAgainst(u: Int, p: Array[Int]): Int =
     IntSets.intersectSize(adj, off(u), off(u + 1), p, 0, p.length)
@@ -147,14 +138,14 @@ private final class Engine(
   // scans X first, prunes the branch outright when an X vertex dominates
   // all of P (Naudé-style dominance), and prefers X pivots on ties.
   // ---------------------------------------------------------------------
-  private def recursePivot(p0: Array[Int], x0: Array[Int], revised: Boolean, ghost: Boolean): Unit = {
+  private def recursePivot(p0: Array[Int], x0: Array[Int], revised: Boolean): Unit = {
     metrics.recursiveCalls += 1
     visitAll(p0); visitAll(x0)
     val out = dynReduce(p0, x0)
-    val p = if (cfg.dynamicReduction) out.p else p0
-    val x = if (cfg.dynamicReduction) out.x else x0
+    val p = out.p
+    val x = out.x
     if (p.isEmpty) {
-      if (x.isEmpty && r.size >= 2 && bareReportAllowed(out, ghost))
+      if (x.isEmpty && out.removed.isEmpty && r.size >= 2)
         reportRPlus(Engine.EmptyInts, 0)
     } else {
       var pivot = -1
@@ -186,17 +177,14 @@ private final class Engine(
         }
         val ext = IntSets.diffRange(p, adj, off(pivot), off(pivot + 1))
         var curP = p
-        var curX = x
+        var curX = withRemoved(x, out)
         var k = 0
         while (k < ext.length) {
           val w = ext(k)
           val np = IntSets.intersect(curP, 0, curP.length, adj, off(w), off(w + 1))
           val nx = IntSets.intersect(curX, 0, curX.length, adj, off(w), off(w + 1))
           r.push(w)
-          // A hoist kills every partner threat: the removed degree-1 vertex
-          // is adjacent to no candidate but its partner, so it cannot be
-          // adjacent to a hoisted vertex now sitting in R.
-          recursePivot(np, nx, revised, ghost = out.hoisted == 0 && out.partnerContains(w))
+          recursePivot(np, nx, revised)
           r.pop()
           curP = IntSets.remove(curP, w)
           curX = IntSets.insert(curX, w)
@@ -213,16 +201,16 @@ private final class Engine(
   // neighbours in P (recursing into its neighbourhood) until P itself is a
   // clique, then report R ∪ P if it passes the maximality check.
   // ---------------------------------------------------------------------
-  private def recurseRcd(p0: Array[Int], x0: Array[Int], ghost: Boolean): Unit = {
+  private def recurseRcd(p0: Array[Int], x0: Array[Int]): Unit = {
     metrics.recursiveCalls += 1
     visitAll(p0); visitAll(x0)
     val out = dynReduce(p0, x0)
-    var p = if (cfg.dynamicReduction) out.p else p0
-    var x = if (cfg.dynamicReduction) out.x else x0
+    var p = out.p
+    var x = withRemoved(out.x, out)
     var done = false
     while (!done) {
       if (p.isEmpty) {
-        if (x.isEmpty && r.size >= 2 && bareReportAllowed(out, ghost))
+        if (x.isEmpty && r.size >= 2)
           reportRPlus(Engine.EmptyInts, 0)
         done = true
       } else {
@@ -242,10 +230,6 @@ private final class Engine(
             if (scoreAgainst(x(i), p) == p.length) maximal = false
             i += 1
           }
-          // A vertex removed by this call's dynamic reduction extends
-          // R ∪ P only when P is exactly its surviving partner.
-          if (out.hoisted == 0 && p.length == 1 && out.partnerContains(p(0)))
-            maximal = false
           if (maximal) reportRPlus(p, p.length)
           done = true
         } else {
@@ -253,8 +237,7 @@ private final class Engine(
           val np = IntSets.intersect(p, 0, p.length, adj, off(v), off(v + 1))
           val nx = IntSets.intersect(x, 0, x.length, adj, off(v), off(v + 1))
           r.push(v)
-          // Hoists kill partner threats (see recursePivot).
-          recurseRcd(np, nx, ghost = out.hoisted == 0 && out.partnerContains(v))
+          recurseRcd(np, nx)
           r.pop()
           p = IntSets.remove(p, v)
           x = IntSets.insert(x, v)
@@ -306,7 +289,7 @@ private final class Engine(
       val pBits = new Array[Long](w)
       var i = 0
       while (i < k) { Bits.setBit(pBits, 0, i); i += 1 }
-      rec(pBits, Array.tabulate(x0.length)(j => k + j), ghost = false)
+      rec(pBits, Array.tabulate(x0.length)(j => k + j))
     }
 
     private def visitBits(pb: Array[Long]): Unit =
@@ -322,18 +305,18 @@ private final class Engine(
       Bits.forEachBit(pb, 0, w)(u => duScratch(u) = Bits.andPopcount(masks, u * w, pb, 0, w))
 
     /** Bitset counterpart of [[DynamicReduction]] (same barren exit, same
-      * three lemmas, same bookkeeping; partners are recorded as slot
-      * labels). Unless the barren exit fires, it fills `duScratch` with
-      * in-P degrees for `pb0` and leaves it holding valid degrees for the
-      * returned bitset, so pivot selection reuses the scan instead of
-      * recomputing popcounts. `orX` (the mark bits) is only built when a
-      * degree-0/1 vertex actually exists.
+      * three lemmas). Returns the reduced candidate bits and an outcome
+      * whose `x` and `removed` are slot indices. Unless the barren exit
+      * fires, it fills `duScratch` with in-P degrees for `pb0` and leaves it
+      * holding valid degrees for the returned bitset, so pivot selection
+      * reuses the scan instead of recomputing popcounts. `orX` (the mark
+      * bits) is only built when a degree-0/1 vertex actually exists.
       */
-    private def dynReduceBits(pb0: Array[Long], xs: Array[Int], pSize: Int): (Array[Long], Array[Int], DynOutcome) = {
+    private def dynReduceBits(pb0: Array[Long], xs: Array[Int], pSize: Int): (Array[Long], DynOutcome) = {
       var i = 0
       while (i < xs.length) {
         if (Bits.andPopcount(masks, xs(i) * w, pb0, 0, w) == pSize)
-          return (new Array[Long](w), xs, Engine.Barren)
+          return (new Array[Long](w), new DynOutcome(Engine.EmptyInts, xs, Engine.EmptyInts, 0))
         i += 1
       }
       computeDu(pb0)
@@ -345,12 +328,10 @@ private final class Engine(
         if (d == pSize - 1) anyFull = true
       }
       if (!anyLow && !anyFull)
-        return (pb0, xs, Engine.NoReduction)
+        return (pb0, new DynOutcome(Engine.EmptyInts, xs, Engine.EmptyInts, 0))
 
       val pb = pb0.clone()
-      var removedAny = false
-      var partners: Array[Int] = null
-      var nPartners = 0
+      var anyRemoved = false
       if (anyLow) {
         val orX = new Array[Long](w)
         i = 0
@@ -366,7 +347,7 @@ private final class Engine(
                 metrics.preReportedDynamic += 1
               }
               Bits.clearBit(pb, 0, u)
-              removedAny = true
+              anyRemoved = true
             } else if (du == 1) {
               val v = Bits.singleBitOfAnd(masks, u * w, pb0, 0, w)
               if (!Bits.testBit(orX, 0, u) || !Bits.testBit(orX, 0, v)) {
@@ -375,13 +356,8 @@ private final class Engine(
                 reportLabels(scratch, len + 2)
                 metrics.preReportedDynamic += 1
                 Bits.clearBit(pb, 0, u)
-                removedAny = true
+                anyRemoved = true
                 if (duScratch(v) == 1) Bits.clearBit(pb, 0, v)
-                else {
-                  if (partners == null) partners = new Array[Int](k)
-                  partners(nPartners) = slotLabel(v)
-                  nPartners += 1
-                }
               }
             }
           }
@@ -390,8 +366,14 @@ private final class Engine(
       // Degree-(|P'|-1) hoisting (degrees recomputed only if pass 1 removed
       // anything; a pure hoist shifts every survivor's degree by the same
       // constant, patched below).
-      if (removedAny) computeDu(pb)
-      val kNow = if (removedAny) Bits.popcount(pb, 0, w) else pSize
+      if (anyRemoved) computeDu(pb)
+      val kNow = if (anyRemoved) Bits.popcount(pb, 0, w) else pSize
+      var removed = Engine.EmptyInts
+      if (anyRemoved) {
+        removed = new Array[Int](pSize - kNow)
+        var j = 0
+        Bits.forEachBit(pb0, 0, w) { u => if (!Bits.testBit(pb, 0, u)) { removed(j) = u; j += 1 } }
+      }
       var hoisted = 0
       var xsOut = xs
       if (kNow > 0) {
@@ -410,21 +392,20 @@ private final class Engine(
           }
           hoisted = hn
           Bits.forEachBit(pb, 0, w)(u => duScratch(u) -= hn)
-          xsOut = xs.filter { s =>
+          val adjacentToHoisted: Int => Boolean = { s =>
             var ok = true
             var t = 0
             while (t < hn && ok) { ok = Bits.testBit(masks, s * w, toHoist(t)); t += 1 }
             ok
           }
+          xsOut = xs.filter(adjacentToHoisted)
+          removed = removed.filter(adjacentToHoisted)
         }
       }
-      val partnersOut =
-        if (partners == null) Engine.EmptyInts
-        else java.util.Arrays.copyOf(partners, nPartners)
-      (pb, xsOut, new DynOutcome(Engine.EmptyInts, Engine.EmptyInts, hoisted, removedAny, partnersOut))
+      (pb, new DynOutcome(Engine.EmptyInts, xsOut, removed, hoisted))
     }
 
-    private def rec(pBits: Array[Long], xSlots: Array[Int], ghost: Boolean): Unit = {
+    private def rec(pBits: Array[Long], xSlots: Array[Int]): Unit = {
       metrics.recursiveCalls += 1
       visitBits(pBits)
       var i = 0
@@ -432,15 +413,16 @@ private final class Engine(
 
       var pb = pBits
       var xs = xSlots
-      var out = Engine.NoReduction
+      var removed = Engine.EmptyInts
+      var hoisted = 0
       if (!Bits.isEmpty(pb, 0, w)) {
         if (cfg.dynamicReduction) {
-          val t = dynReduceBits(pb, xs, Bits.popcount(pb, 0, w))
-          pb = t._1; xs = t._2; out = t._3
+          val (pb1, out) = dynReduceBits(pb, xs, Bits.popcount(pb, 0, w))
+          pb = pb1; xs = out.x; removed = out.removed; hoisted = out.hoisted
         } else computeDu(pb)
       }
       if (Bits.isEmpty(pb, 0, w)) {
-        if (xs.isEmpty && r.size >= 2 && bareReportAllowed(out, ghost))
+        if (xs.isEmpty && removed.isEmpty && r.size >= 2)
           reportRPlus(Engine.EmptyInts, 0)
       } else {
         val pSize = Bits.popcount(pb, 0, w)
@@ -460,7 +442,7 @@ private final class Engine(
         var t = 0
         while (t < w) { ext(t) = pb(t) & ~masks(pivot * w + t); t += 1 }
         val curP = pb.clone()
-        var curX = xs
+        var curX = if (removed.isEmpty) xs else xs ++ removed
         Bits.forEachBit(ext, 0, w) { wi =>
           val np = Bits.and(curP, 0, masks, wi * w, w)
           val nxB = Array.newBuilder[Int]
@@ -470,15 +452,14 @@ private final class Engine(
             j += 1
           }
           r.push(slotLabel(wi))
-          // Hoists kill partner threats (see recursePivot).
-          rec(np, nxB.result(), ghost = out.hoisted == 0 && out.partnerContains(slotLabel(wi)))
+          rec(np, nxB.result())
           r.pop()
           Bits.clearBit(curP, 0, wi)
           curX = curX :+ wi
         }
       }
       var h = 0
-      while (h < out.hoisted) { r.pop(); h += 1 }
+      while (h < hoisted) { r.pop(); h += 1 }
     }
   }
 }

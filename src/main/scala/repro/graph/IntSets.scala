@@ -59,23 +59,6 @@ object IntSets {
   def intersectSize(a: Array[Int], b: Array[Int]): Int =
     intersectSize(a, 0, a.length, b, 0, b.length)
 
-  /** First common element of two sorted arrays, or -1 (for "does a triangle
-    * exist over this edge" checks, which only need one witness).
-    */
-  def firstCommon(a: Array[Int], b: Array[Int]): Int = {
-    var i = 0; var j = 0
-    while (i < a.length && j < b.length) {
-      val x = a(i); val y = b(j)
-      if (x == y) return x
-      else if (x < y) i += 1
-      else j += 1
-    }
-    -1
-  }
-
-  /** Is the intersection of two sorted arrays non-empty? */
-  def intersects(a: Array[Int], b: Array[Int]): Boolean = firstCommon(a, b) >= 0
-
   /** Is sorted `a` (ignoring element `skip`) a subset of sorted range
     * `b[bf,bu)`? Used by the Alg. 8 dominance checks, where the probed
     * vertex itself must be excluded from its own candidate set.
@@ -101,10 +84,6 @@ object IntSets {
     }
     true
   }
-
-  /** Number of elements of sorted range `a[af,au)` present in sorted `b`. */
-  def intersectSizeWith(a: Array[Int], af: Int, au: Int, b: Array[Int]): Int =
-    intersectSize(a, af, au, b, 0, b.length)
 
   /** Remove one element from a sorted array (fresh array). */
   def remove(a: Array[Int], x: Int): Array[Int] = {
@@ -143,16 +122,18 @@ object IntSets {
     if (k == out.length) out else java.util.Arrays.copyOf(out, k)
   }
 
-  /** Difference `a \ b` of two sorted arrays (fresh array). */
-  def diff(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new Array[Int](a.length)
+  /** Union of two sorted arrays (fresh array). */
+  def union(a: Array[Int], b: Array[Int]): Array[Int] = {
+    val out = new Array[Int](a.length + b.length)
     var i = 0; var j = 0; var k = 0
-    while (i < a.length) {
-      val x = a(i)
-      while (j < b.length && b(j) < x) j += 1
-      if (j >= b.length || b(j) != x) { out(k) = x; k += 1 }
-      i += 1
+    while (i < a.length && j < b.length) {
+      val x = a(i); val y = b(j)
+      if (x == y) { out(k) = x; k += 1; i += 1; j += 1 }
+      else if (x < y) { out(k) = x; k += 1; i += 1 }
+      else { out(k) = y; k += 1; j += 1 }
     }
+    while (i < a.length) { out(k) = a(i); k += 1; i += 1 }
+    while (j < b.length) { out(k) = b(j); k += 1; j += 1 }
     if (k == out.length) out else java.util.Arrays.copyOf(out, k)
   }
 }

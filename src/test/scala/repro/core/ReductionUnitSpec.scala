@@ -25,6 +25,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     assert(reports.contains(Set(0, 3)))
     assert(reports.contains(Set(0, 1, 2)))
     assert(!out.p.contains(3))
+    assert(out.removed.toSeq == Seq(1, 2, 3))
     assert(m.preReportedDynamic == 2)
   }
 
@@ -37,7 +38,20 @@ class ReductionUnitSpec extends AnyFunSuite {
     val out = dyn.apply(g, r, Array(2), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(3))
     assert(reports.isEmpty)
     assert(out.p.isEmpty)
-    assert(out.removedAny)
+    // 1 covers P, so the barren exit fires: nothing is removed, X keeps 1.
+    assert(out.removed.isEmpty && out.x.toSeq == Seq(1))
+  }
+
+  test("dynamic degree-zero: marked vertex joins removed without a report") {
+    // X = {1}, P = {2,3}: 2 is marked by 1, 3 is not; 1 does not cover P.
+    val g = CsrGraph.fromEdges(4, Seq((0, 1), (0, 2), (0, 3), (1, 2)))
+    val dyn = new DynamicReduction(g.n)
+    val r = new IntStack(); r.push(0)
+    val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
+    val out = dyn.apply(g, r, Array(2, 3), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(4))
+    assert(reports.toSeq == Seq(Set(0, 3)))
+    assert(out.p.isEmpty && out.hoisted == 0)
+    assert(out.removed.toSeq == Seq(2, 3) && out.x.toSeq == Seq(1))
   }
 
   test("dynamic degree-(|P|-1) hoists the full-degree vertices and intersects X") {
@@ -62,6 +76,36 @@ class ReductionUnitSpec extends AnyFunSuite {
     // {0,1,2} reported by the degree-one rule, pair removed, nothing hoisted.
     assert(reports.toSeq == Seq(Set(0, 1, 2)))
     assert(out.p.isEmpty && out.hoisted == 0)
+    assert(out.removed.toSeq == Seq(1, 2))
+  }
+
+  /** R = {0}, P = {1..5}; vertex 1 is dynamic degree-1 with partner 2,
+    * which has more P-neighbours and survives. Per case: the other P-edges,
+    * X, the hoisted vertex (-1: none), and the expected P′ and removed set.
+    *  - nothing else is low or full;
+    *  - after 1 goes, 2 covers 3, 4, 5 and is hoisted; the pair {5, 2}
+    *    stays because X = {6} marks both; 1 is adjacent to 2, so it stays;
+    *  - after 1 goes, 3 covers 2, 4, 5 and is hoisted; 1 is not adjacent
+    *    to 3, so it leaves.
+    */
+  private val partnerCases = Seq(
+    ("no hoist", Seq((2, 3), (3, 4), (4, 5), (2, 5)), Seq.empty[Int], -1, Seq(2, 3, 4, 5), Seq(1)),
+    ("the partner alone hoisted", Seq((2, 3), (2, 4), (2, 5), (3, 4)), Seq(6), 2, Seq(3, 4, 5), Seq(1)),
+    ("a non-partner hoisted", Seq((2, 3), (3, 4), (3, 5), (4, 5)), Seq.empty[Int], 3, Seq(2, 4, 5), Seq.empty[Int]))
+
+  for ((label, pEdges, x, hoist, wantP, wantRemoved) <- partnerCases) {
+    test(s"dynamic degree-one vertex with a surviving partner, $label") {
+      val xEdges = x.flatMap(v => Seq((0, v), (2, v), (5, v)))
+      val g = CsrGraph.fromEdges(7, (1 to 5).map((0, _)) ++ Seq((1, 2)) ++ pEdges ++ xEdges)
+      val r = new IntStack(); r.push(0)
+      val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
+      val out = new DynamicReduction(g.n).apply(g, r, Array(1, 2, 3, 4, 5), x.toArray,
+        (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
+      assert(reports.toSeq == Seq(Set(0, 1, 2)))
+      assert((1 until r.size).map(r(_)) == Seq(hoist).filter(_ >= 0) && out.hoisted == r.size - 1)
+      assert(out.p.toSeq == wantP && out.x.toSeq == x)
+      assert(out.removed.toSeq == wantRemoved)
+    }
   }
 
   /** R = {0}, P = {2,3,4} with one P edge 2-3, X = {1}. Vertex 1 is
@@ -83,9 +127,9 @@ class ReductionUnitSpec extends AnyFunSuite {
       val m = new Metrics(g.n)
       val out = new DynamicReduction(g.n).apply(g, r, Array(2, 3, 4), Array(1),
         (_, _) => fail("no report expected"), m)
-      assert(out.p.isEmpty && out.removedAny)
+      assert(out.p.isEmpty && out.removed.isEmpty)
       assert(out.x.toSeq == Seq(1))
-      assert(out.hoisted == 0 && out.partners.isEmpty)
+      assert(out.hoisted == 0)
       assert(r.size == 1 && r(0) == 0)
       assert(m.preReportedDynamic == 0)
     }
@@ -97,9 +141,10 @@ class ReductionUnitSpec extends AnyFunSuite {
       val out = new DynamicReduction(g.n).apply(g, r, Array(2, 3, 4), Array(1),
         (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
       // 4 is degree-0 and unmarked, so {0,4} is reported; {2,3} is then
-      // hoisted and X keeps 1, which is adjacent to both.
+      // hoisted, X keeps 1, which is adjacent to both, and 4 leaves
+      // removed, being adjacent to neither.
       assert(reports.toSeq == Seq(Set(0, 4)))
-      assert(out.p.isEmpty && out.removedAny && out.hoisted == 2)
+      assert(out.p.isEmpty && out.removed.isEmpty && out.hoisted == 2)
       assert(out.x.toSeq == Seq(1))
       assert(r.size == 3)
     }
@@ -232,16 +277,6 @@ class ReductionUnitSpec extends AnyFunSuite {
     assert(a == b)
     assert(a != c)
     assert(a != d)
-  }
-
-  test("CountingSink merge combines counts, checksums, and histograms") {
-    val s1 = new CountingSink
-    val s2 = new CountingSink
-    s1.report(Array(1, 2), 2)
-    s2.report(Array(3, 4, 5), 3)
-    s1.merge(s2)
-    assert(s1.count == 2 && s1.maxSize == 3)
-    assert(s1.sizeHist(2L) == 1 && s1.sizeHist(3L) == 1)
   }
 
   test("Metrics merge sums counters and visit arrays") {

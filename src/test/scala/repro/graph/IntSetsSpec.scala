@@ -34,29 +34,15 @@ class IntSetsSpec extends AnyFunSuite {
     })
   }
 
-  test("firstCommon returns smallest common element") {
+  test("diffRange agrees with Set difference") {
     run(Prop.forAll(genSet, genSet) { (a, b) =>
-      val common = a.toSet intersect b.toSet
-      val got = IntSets.firstCommon(a, b)
-      if (common.isEmpty) got == -1 else got == common.min
+      IntSets.diffRange(a, b, 0, b.length).toSeq == (a.toSet diff b.toSet).toSeq.sorted
     })
   }
 
-  test("intersects agrees with nonEmpty intersection") {
+  test("union agrees with Set union") {
     run(Prop.forAll(genSet, genSet) { (a, b) =>
-      IntSets.intersects(a, b) == (a.toSet intersect b.toSet).nonEmpty
-    })
-  }
-
-  test("diff agrees with Set difference") {
-    run(Prop.forAll(genSet, genSet) { (a, b) =>
-      IntSets.diff(a, b).toSeq == (a.toSet diff b.toSet).toSeq.sorted
-    })
-  }
-
-  test("diffRange matches diff on full ranges") {
-    run(Prop.forAll(genSet, genSet) { (a, b) =>
-      IntSets.diffRange(a, b, 0, b.length).toSeq == IntSets.diff(a, b).toSeq
+      IntSets.union(a, b).toSeq == (a.toSet union b.toSet).toSeq.sorted
     })
   }
 
