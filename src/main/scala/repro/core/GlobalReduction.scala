@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.CsrGraph
-import scala.collection.mutable
 
 /** Global reduction (Section 4): low-degree vertex reduction (Alg. 5,
   * Lemmas 1–3) interleaved with non-triangle edge reduction (Alg. 6,
@@ -15,21 +14,41 @@ import scala.collection.mutable
   * low-degree queue and vertex deletions can expose new non-triangle edges.
   * Iterating to a joint fix-point only *increases* the reduction yield;
   * each rule application is justified against the current graph, so the
-  * invariant is unaffected.
+  * invariant is unaffected. Both rules stay applicable once applicable
+  * (deletions only lower degrees and break triangles), so the fix-point, and
+  * with it every report, does not depend on the order rules fire in.
   *
-  * Representation: the original CSR stays immutable. Edge deletions flip a
-  * boolean in a per-directed-slot array (no hashing — edge keys built as
-  * `u<<32|v` collapse to ~`u^v` under `Long.hashCode`, which degenerates
-  * catastrophically on lattice graphs), vertex deletions flip a flag, and
-  * degrees are maintained as counters. The non-triangle rule runs as one
-  * full pass with the paper's visited-triangle marking, then a dirty queue
-  * re-probes only edges whose support can actually have changed, keeping
-  * the whole reduction near-linear in practice (O(m·d_max) worst case, the
-  * paper's Section 4 bound).
+  * Representation: the input CSR stays immutable. Each undirected edge has
+  * two directed slots, one in each endpoint's row, and `rev(p)` is the slot
+  * of the same edge in the other row, built in one cursor pass. Deleting an
+  * edge marks both of its slots dead, and deleting a vertex does so for each
+  * of its live edges, so an edge is alive iff its slot is: no search and no
+  * hashing. Degrees are counters, and the low-degree FIFO is a primitive
+  * array that holds each vertex at most once.
+  *
+  * Triangle closure: an edge is deleted only when it lies in no live
+  * triangle, or with an endpoint, so if two edges of a triangle of the
+  * input are live, the third is too. Hence deleting an edge breaks no live
+  * triangle and needs no row merge, and an input edge that closes a
+  * triangle with two live edges is live without looking at its slot.
+  *
+  * The non-triangle rule runs as one pass with the paper's visited-triangle
+  * marking. Each live edge is tested from its endpoint `h` of higher static
+  * degree (ties by id): `h`'s row is stamped once with each neighbour's
+  * slot, and the other endpoint's row is scanned up to the first live slot
+  * to a stamped neighbour. That is the arboricity-bounded triangle test of
+  * Chiba & Nishizeki (SIAM J. Comput. 1985), O(Σ min(d_u, d_v)) = O(m·α) in
+  * all, and it stops at the first witness instead of listing triangles.
+  * After the pass every live edge lies in a live triangle, and by closure it
+  * can only lose its last one when a degree-two vertex of that triangle is
+  * deleted. Lemma 3 tests the opposite edge at exactly that moment (the one
+  * lookup left, by binary search in the shorter row), so the fix-point needs
+  * no re-probe queue.
   *
   * The reduced graph keeps the original vertex-id space: deleted vertices
   * simply become isolated (the enumeration root loop skips degree-0
-  * vertices, consistent with the paper's ≥2-vertex clique convention).
+  * vertices, consistent with the paper's ≥2-vertex clique convention). It
+  * is the input graph itself when nothing was deleted.
   */
 object GlobalReduction {
 
@@ -39,31 +58,14 @@ object GlobalReduction {
     val n = g.n
     val adj = g.adj
     val off = g.offsets
-    val deg = Array.tabulate(n)(g.degree)
-    val removedV = new Array[Boolean](n)
-    val removedSlot = new Array[Boolean](adj.length) // per directed edge slot
+    val rev = reverseSlots(g)
+    val deg = new Array[Int](n)
+    var v = 0
+    while (v < n) { deg(v) = off(v + 1) - off(v); v += 1 }
+    val removedSlot = new Array[Boolean](adj.length)
     val buf = new Array[Int](3)
     var deletedVertices = 0
-
-    /** Position of `b` in `a`'s sorted adjacency row, or -1. */
-    def posOf(a: Int, b: Int): Int = {
-      var lo = off(a)
-      var hi = off(a + 1) - 1
-      while (lo <= hi) {
-        val mid = (lo + hi) >>> 1
-        val v = adj(mid)
-        if (v == b) return mid
-        else if (v < b) lo = mid + 1
-        else hi = mid - 1
-      }
-      -1
-    }
-
-    def edgeAlive(a: Int, b: Int): Boolean = {
-      if (removedV(a) || removedV(b)) return false
-      val p = posOf(a, b)
-      p >= 0 && !removedSlot(p)
-    }
+    var deletedEdges = 0L
 
     def report2(a: Int, b: Int): Unit = {
       buf(0) = a; buf(1) = b
@@ -76,237 +78,200 @@ object GlobalReduction {
       metrics.preReportedGlobal += 1
     }
 
-    val queue = mutable.ArrayDeque.empty[Int]
-    val inQueue = new Array[Boolean](n)
+    // Degrees only fall and a dequeued vertex is deleted (or was isolated
+    // from the start), so each vertex enters the FIFO at most once.
+    val queue = new Array[Int](n)
+    var qHead = 0
+    var qTail = 0
+    val queued = new Array[Boolean](n)
     def enqueueIfLow(v: Int): Unit =
-      if (!removedV(v) && !inQueue(v) && deg(v) <= 2) {
-        queue.append(v); inQueue(v) = true
+      if (!queued(v) && deg(v) <= 2) {
+        queued(v) = true; queue(qTail) = v; qTail += 1
       }
 
-    // Dirty queue: canonical slots (u < adj(slot)) whose triangle support
-    // may have changed and must be re-probed by the non-triangle rule.
-    val dirty = mutable.ArrayDeque.empty[Long] // (u << 32) | v, u < v
-    val inDirty = new Array[Boolean](adj.length) // indexed by canonical slot
-    def markDirty(u0: Int, v0: Int): Unit = {
-      val u = math.min(u0, v0)
-      val v = math.max(u0, v0)
-      if (!removedV(u) && !removedV(v)) {
-        val p = posOf(u, v)
-        if (p >= 0 && !removedSlot(p) && !inDirty(p)) {
-          inDirty(p) = true
-          dirty.append((u.toLong << 32) | v.toLong)
-        }
-      }
+    def shorter(a: Int, b: Int): Int = if (off(a + 1) - off(a) <= off(b + 1) - off(b)) a else b
+
+    /** Slot of edge (a, b), by binary search in the shorter row, or -1. */
+    def slotOf(a: Int, b: Int): Int = {
+      val row = shorter(a, b)
+      val p = java.util.Arrays.binarySearch(adj, off(row), off(row + 1), if (row == a) b else a)
+      if (p >= 0) p else -1
     }
-    def removeEdge(u: Int, v: Int): Unit = {
-      // Deleting (u,v) can only break triangles (u,v,z): exactly the edges
-      // (u,z) and (v,z) for live common neighbours z need a re-probe (a
-      // non-triangle edge has none, so its removal enqueues nothing).
-      var i = off(u); val iEnd = off(u + 1)
-      var j = off(v); val jEnd = off(v + 1)
-      while (i < iEnd && j < jEnd) {
-        val a = adj(i); val b = adj(j)
-        if (a == b) {
-          if (!removedV(a) && !removedSlot(i) && !removedSlot(j)) {
-            markDirty(u, a); markDirty(v, a)
-          }
-          i += 1; j += 1
-        } else if (a < b) i += 1
-        else j += 1
-      }
-      removedSlot(posOf(u, v)) = true
-      removedSlot(posOf(v, u)) = true
-      deg(u) -= 1; deg(v) -= 1
-      enqueueIfLow(u); enqueueIfLow(v)
+
+    /** Deletes the edge of slot `p`, which lies in no live triangle. */
+    def removeEdge(p: Int): Unit = {
+      val q = rev(p)
+      removedSlot(p) = true; removedSlot(q) = true
+      deletedEdges += 1
+      val a = adj(q); val b = adj(p)
+      deg(a) -= 1; deg(b) -= 1
+      enqueueIfLow(a); enqueueIfLow(b)
     }
 
     def removeVertex(v: Int): Unit = {
       var i = off(v)
       val end = off(v + 1)
       while (i < end) {
-        val u = adj(i)
-        if (!removedSlot(i) && !removedV(u)) {
+        if (!removedSlot(i)) {
+          removedSlot(i) = true; removedSlot(rev(i)) = true
+          deletedEdges += 1
+          val u = adj(i)
           deg(u) -= 1
           enqueueIfLow(u)
         }
         i += 1
       }
-      removedV(v) = true
+      deg(v) = 0
       deletedVertices += 1
     }
 
     /** The (up to) two live neighbours of a degree-≤2 vertex. */
     val nbr2 = new Array[Int](2)
-    def liveNeighbors2(v: Int): Int = {
+    def liveNeighbors2(v: Int): Unit = {
       var k = 0
       var i = off(v)
       val end = off(v + 1)
       while (i < end && k < 2) {
-        val u = adj(i)
-        if (!removedSlot(i) && !removedV(u)) { nbr2(k) = u; k += 1 }
+        if (!removedSlot(i)) { nbr2(k) = adj(i); k += 1 }
         i += 1
       }
-      k
     }
 
-    /** One live common neighbour of u and v other than `skip`, or -1. The
-      * merge walks both rows by position, so liveness checks are O(1);
-      * heavily skewed pairs (hub edges) switch to probing the small row's
-      * entries into the large row by binary search.
+    /** Whether the live edge (a, b) has a live common neighbour other than
+      * `skip`: each live neighbour of the shorter row is looked up in the
+      * shorter of its own row and the other endpoint's, and by closure the
+      * edge found is live.
       */
-    def commonNeighbor(u: Int, v: Int, skip: Int): Int = {
-      val du = off(u + 1) - off(u)
-      val dv = off(v + 1) - off(v)
-      if (du > 16 * dv || dv > 16 * du) {
-        val small = if (du <= dv) u else v
-        val large = if (du <= dv) v else u
-        var i = off(small)
-        val end = off(small + 1)
-        while (i < end) {
-          val a = adj(i)
-          if (a != skip && !removedSlot(i) && !removedV(a)) {
-            val p = posOf(large, a)
-            if (p >= 0 && !removedSlot(p)) return a
-          }
-          i += 1
-        }
-        -1
-      } else {
-        var i = off(u); val iEnd = off(u + 1)
-        var j = off(v); val jEnd = off(v + 1)
-        while (i < iEnd && j < jEnd) {
-          val a = adj(i); val b = adj(j)
-          if (a == b) {
-            if (a != skip && !removedV(a) && !removedSlot(i) && !removedSlot(j)) return a
-            i += 1; j += 1
-          } else if (a < b) i += 1
-          else j += 1
-        }
-        -1
+    def hasWitness(a: Int, b: Int, skip: Int): Boolean = {
+      val s = shorter(a, b)
+      val t = if (s == a) b else a
+      var i = off(s)
+      val end = off(s + 1)
+      while (i < end) {
+        val c = adj(i)
+        if (c != skip && !removedSlot(i) && slotOf(c, t) >= 0) return true
+        i += 1
       }
+      false
     }
 
     /** Alg. 5 over the pending queue (handles cascades). */
     def vertexReduction(): Unit = {
-      while (queue.nonEmpty) {
-        val v = queue.removeHead()
-        inQueue(v) = false
-        if (!removedV(v)) {
-          val d = deg(v)
-          if (d == 0) {
-            // Lemma 1 — all its cliques were reported when its edges went.
-            if (g.degree(v) > 0) removeVertex(v)
-          } else if (d == 1) {
-            // Lemma 2: {v,u} is a maximal 2-clique.
-            liveNeighbors2(v)
-            val u = nbr2(0)
-            report2(v, u)
+      while (qHead < qTail) {
+        val v = queue(qHead)
+        qHead += 1
+        val d = deg(v)
+        if (d == 0) {
+          // Lemma 1 — all its cliques were reported when its edges went.
+          if (g.degree(v) > 0) removeVertex(v)
+        } else if (d == 1) {
+          // Lemma 2: {v,u} is a maximal 2-clique.
+          liveNeighbors2(v)
+          report2(v, nbr2(0))
+          removeVertex(v)
+        } else {
+          // Lemma 3, three scenarios.
+          liveNeighbors2(v)
+          val u = nbr2(0); val w = nbr2(1)
+          val p = slotOf(u, w)
+          if (p < 0) {
+            report2(v, u); report2(v, w)
             removeVertex(v)
-          } else if (d == 2) {
-            // Lemma 3, three scenarios.
-            liveNeighbors2(v)
-            val u = nbr2(0); val w = nbr2(1)
-            if (!edgeAlive(u, w)) {
-              report2(v, u); report2(v, w)
-              removeVertex(v)
-            } else if (commonNeighbor(u, w, skip = v) < 0) {
-              // {v,u,w} is the last clique over edge (u,w): delete it too so
-              // {u,w} is never reported as a (non-maximal) 2-clique later.
-              report3(v, u, w)
-              removeVertex(v)
-              removeEdge(u, w)
-            } else {
-              report3(v, u, w)
-              removeVertex(v)
-              // (u,w) survives but v was one of its triangle witnesses.
-              markDirty(u, w)
-            }
+          } else if (!hasWitness(u, w, skip = v)) {
+            // {v,u,w} is the last clique over edge (u,w): delete it too so
+            // {u,w} is never reported as a (non-maximal) 2-clique later.
+            report3(v, u, w)
+            removeVertex(v)
+            removeEdge(p)
+          } else {
+            // (u,w) keeps a witness c; only c's deletion, as a degree-2
+            // vertex, can take it away, and that Lemma 3 step tests (u,w).
+            report3(v, u, w)
+            removeVertex(v)
           }
         }
       }
     }
 
-    /** Alg. 6, single full pass with the paper's visited-triangle marking:
-      * once an edge is seen inside a triangle, its two sibling edges need
-      * no probe of their own this pass. Later support changes are handled
-      * by the dirty queue, not by re-scanning. `visited` is indexed by
-      * canonical slot (the u→v direction with u < v).
+    /** Alg. 6, one pass with the paper's visited-triangle marking: once an
+      * edge is seen inside a triangle, its two sibling edges need no test of
+      * their own. `visited` is indexed by the canonical slot `min(p,
+      * rev(p))`; `stamp(c) == h + 1` means `c` is in `h`'s row, at slot
+      * `stampSlot(c)`.
       */
-    def initialEdgePass(): Unit = {
+    def edgePass(): Unit = {
       val visited = new Array[Boolean](adj.length)
-      def markVisited(a0: Int, b0: Int): Unit = {
-        val a = math.min(a0, b0); val b = math.max(a0, b0)
-        val p = posOf(a, b)
-        if (p >= 0) visited(p) = true
-      }
-      var u = 0
-      while (u < n) {
-        if (!removedV(u)) {
-          var i = off(u)
-          val end = off(u + 1)
-          while (i < end) {
-            val v = adj(i)
-            if (u < v && !visited(i) && !removedSlot(i) && !removedV(v)) {
-              val c = commonNeighbor(u, v, skip = -1)
-              if (c < 0) {
-                report2(u, v)
-                removeEdge(u, v)
+      val stamp = new Array[Int](n)
+      val stampSlot = new Array[Int](n)
+      def visit(p: Int): Unit = visited(math.min(p, rev(p))) = true
+      var h = 0
+      while (h < n) {
+        if (deg(h) > 0) {
+          val dh = off(h + 1) - off(h)
+          var stamped = false
+          var p = off(h)
+          val end = off(h + 1)
+          while (p < end) {
+            val l = adj(p)
+            val dl = off(l + 1) - off(l)
+            if (!removedSlot(p) && (dl < dh || (dl == dh && l < h)) && !visited(math.min(p, rev(p)))) {
+              if (!stamped) {
+                var r = off(h)
+                while (r < end) { stamp(adj(r)) = h + 1; stampSlot(adj(r)) = r; r += 1 }
+                stamped = true
+              }
+              var q = off(l)
+              val qEnd = off(l + 1)
+              while (q < qEnd && (removedSlot(q) || stamp(adj(q)) != h + 1)) q += 1
+              if (q == qEnd) {
+                report2(math.min(h, l), math.max(h, l))
+                removeEdge(p)
               } else {
-                visited(i) = true
-                markVisited(u, c)
-                markVisited(v, c)
+                visit(p); visit(q); visit(stampSlot(adj(q)))
               }
             }
-            i += 1
+            p += 1
           }
         }
-        u += 1
+        h += 1
       }
     }
 
-    /** Re-probe edges whose support may have changed. */
-    def processDirty(): Unit = {
-      while (dirty.nonEmpty) {
-        val k = dirty.removeHead()
-        val u = (k >>> 32).toInt
-        val v = (k & 0xFFFFFFFFL).toInt
-        val p = posOf(u, v)
-        if (p >= 0) inDirty(p) = false
-        if (edgeAlive(u, v) && commonNeighbor(u, v, skip = -1) < 0) {
-          report2(u, v)
-          removeEdge(u, v)
-        }
-      }
-    }
-
-    // Low-degree peel, one full edge pass, then localised re-probes to a
-    // joint fix-point.
-    var v = 0
+    // Low-degree peel, one edge pass, then the peel it re-feeds.
+    v = 0
     while (v < n) { enqueueIfLow(v); v += 1 }
     vertexReduction()
-    initialEdgePass()
-    while (queue.nonEmpty || dirty.nonEmpty) {
-      vertexReduction()
-      processDirty()
-    }
+    edgePass()
+    vertexReduction()
 
-    val reducedEdges = mutable.ArrayBuffer.empty[(Int, Int)]
-    v = 0
-    while (v < n) {
-      if (!removedV(v)) {
-        var i = off(v)
-        val end = off(v + 1)
-        while (i < end) {
-          val u = adj(i)
-          if (v < u && !removedSlot(i) && !removedV(u)) reducedEdges += ((v, u))
-          i += 1
-        }
-      }
-      v += 1
-    }
-    val reduced = CsrGraph.fromEdges(n, reducedEdges)
+    val reduced = if (deletedEdges == 0) g else g.withoutSlots(removedSlot)
     metrics.globalDeletedVertices += deletedVertices
-    metrics.globalDeletedEdges += (g.m - reduced.m)
-    Result(reduced, deletedVertices, g.m - reduced.m)
+    metrics.globalDeletedEdges += deletedEdges
+    Result(reduced, deletedVertices, deletedEdges)
+  }
+
+  /** `rev(p)`: the slot of edge `p` in its other endpoint's row. Visiting
+    * rows in increasing id order reaches each row's smaller neighbours in
+    * increasing order, so one cursor per row pairs the slots.
+    */
+  private def reverseSlots(g: CsrGraph): Array[Int] = {
+    val adj = g.adj
+    val off = g.offsets
+    val rev = new Array[Int](adj.length)
+    val cursor = java.util.Arrays.copyOf(off, g.n)
+    var u = 0
+    while (u < g.n) {
+      var p = g.split(u)
+      val end = off(u + 1)
+      while (p < end) {
+        val v = adj(p)
+        val q = cursor(v)
+        rev(p) = q; rev(q) = p
+        cursor(v) = q + 1
+        p += 1
+      }
+      u += 1
+    }
+    rev
   }
 }

@@ -75,13 +75,72 @@ final class CsrGraph private (
 
   /** Graph with vertices renumbered so that old vertex `order(i)` becomes
     * new vertex `i`; used to bake a degeneracy order into vertex ids.
+    *
+    * Transpose-scatter: visiting new ids in increasing order and appending
+    * each to its neighbours' rows leaves every row sorted, so no row is
+    * sorted and no edge list is built.
     */
   def relabelled(order: Array[Int]): CsrGraph = {
     require(order.length == n, s"order has ${order.length} entries, graph has $n vertices")
     val pos = new Array[Int](n)
+    java.util.Arrays.fill(pos, -1)
+    val offs = new Array[Int](n + 1)
     var i = 0
-    while (i < n) { pos(order(i)) = i; i += 1 }
-    CsrGraph.fromEdges(n, edges.map { case (u, v) => (pos(u), pos(v)) })
+    while (i < n) {
+      val v = order(i)
+      require(v >= 0 && v < n && pos(v) < 0, s"order is not a permutation of 0 until $n")
+      pos(v) = i
+      offs(i + 1) = offs(i) + degree(v)
+      i += 1
+    }
+    val fill = java.util.Arrays.copyOf(offs, n)
+    val out = new Array[Int](adj.length)
+    i = 0
+    while (i < n) {
+      val v = order(i)
+      var j = offsets(v)
+      val end = offsets(v + 1)
+      while (j < end) {
+        val u = pos(adj(j))
+        out(fill(u)) = i
+        fill(u) += 1
+        j += 1
+      }
+      i += 1
+    }
+    new CsrGraph(n, offs, out)
+  }
+
+  /** The subgraph without the edges whose slots `dead` marks (`dead` is
+    * indexed like `adj` and marks both slots of a deleted edge). Rows stay
+    * sorted, so this copies the live slots and nothing else.
+    */
+  def withoutSlots(dead: Array[Boolean]): CsrGraph = {
+    require(dead.length == adj.length, s"dead has ${dead.length} slots, graph has ${adj.length}")
+    val offs = new Array[Int](n + 1)
+    var v = 0
+    while (v < n) {
+      var live = 0
+      var i = offsets(v)
+      val end = offsets(v + 1)
+      while (i < end) { live += (if (dead(i)) 0 else 1); i += 1 }
+      offs(v + 1) = offs(v) + live
+      v += 1
+    }
+    val out = new Array[Int](offs(n))
+    v = 0
+    while (v < n) {
+      val from = offsets(v)
+      val end = offsets(v + 1)
+      var w = offs(v)
+      if (offs(v + 1) - w == end - from) System.arraycopy(adj, from, out, w, end - from)
+      else if (offs(v + 1) > w) {
+        var i = from
+        while (i < end) { if (!dead(i)) { out(w) = adj(i); w += 1 }; i += 1 }
+      }
+      v += 1
+    }
+    new CsrGraph(n, offs, out)
   }
 }
 
@@ -89,8 +148,8 @@ object CsrGraph {
 
   /** Build from an arbitrary undirected edge list over vertices `0 until n`.
     * Self-loops are dropped; duplicate edges are collapsed. Counting-sort
-    * construction — no per-vertex boxed collections on the graph-rebuild
-    * path (global reduction and relabelling both rebuild CSRs).
+    * construction: one pass counts row lengths, one fills the rows, and
+    * each row is then sorted and deduplicated in place.
     */
   def fromEdges(n: Int, rawEdges: Iterable[(Int, Int)]): CsrGraph = {
     val count = new Array[Int](n + 1)
@@ -108,11 +167,63 @@ object CsrGraph {
         raw(fill(b)) = a; fill(b) += 1
       }
     }
-    // Sort each row, then compact duplicates row by row.
+    sortedRows(n, count, raw)
+  }
+
+  /** Build from a Long edge list (e.g. collected from a Spark DataFrame),
+    * compacting arbitrary ids to `0 until n` in increasing order. Returns
+    * the graph and the new-id → original-id table (ascending). Self-loops
+    * are dropped before compacting, duplicates are collapsed.
+    */
+  def fromLongEdges(rawEdges: Iterable[(Long, Long)]): (CsrGraph, Array[Long]) = {
+    // ends(2e), ends(2e+1): the endpoints of the e-th non-loop edge.
+    var k = 0
+    rawEdges.foreach { case (u, v) => if (u != v) k += 1 }
+    val ends = new Array[Long](2 * k)
+    var e = 0
+    rawEdges.foreach { case (u, v) =>
+      if (u != v) { ends(e) = u; ends(e + 1) = v; e += 2 }
+    }
+    val ids = ends.clone()
+    java.util.Arrays.sort(ids)
+    var n = 0
+    var i = 0
+    while (i < ids.length) {
+      if (n == 0 || ids(i) != ids(n - 1)) { ids(n) = ids(i); n += 1 }
+      i += 1
+    }
+    val toOrig = java.util.Arrays.copyOf(ids, n)
+    val local = new Array[Int](ends.length)
+    val count = new Array[Int](n + 1)
+    i = 0
+    while (i < ends.length) {
+      val x = java.util.Arrays.binarySearch(toOrig, ends(i))
+      local(i) = x
+      count(x + 1) += 1
+      i += 1
+    }
+    var v = 0
+    while (v < n) { count(v + 1) += count(v); v += 1 }
+    val fill = java.util.Arrays.copyOf(count, n + 1)
+    val raw = new Array[Int](ends.length)
+    i = 0
+    while (i < local.length) {
+      val a = local(i); val b = local(i + 1)
+      raw(fill(a)) = b; fill(a) += 1
+      raw(fill(b)) = a; fill(b) += 1
+      i += 2
+    }
+    (sortedRows(n, count, raw), toOrig)
+  }
+
+  /** Sort each row `raw[count(v), count(v+1))` and drop duplicates, giving
+    * the CSR.
+    */
+  private def sortedRows(n: Int, count: Array[Int], raw: Array[Int]): CsrGraph = {
     val offsets = new Array[Int](n + 1)
     val adj = new Array[Int](raw.length)
     var w = 0
-    v = 0
+    var v = 0
     while (v < n) {
       val from = count(v); val until = count(v + 1)
       java.util.Arrays.sort(raw, from, until)
@@ -128,19 +239,5 @@ object CsrGraph {
     }
     offsets(n) = w
     new CsrGraph(n, offsets, if (w == adj.length) adj else java.util.Arrays.copyOf(adj, w))
-  }
-
-  /** Build from a Long edge list (e.g. collected from a Spark DataFrame),
-    * compacting arbitrary ids to `0 until n`. Returns the graph and the
-    * new-id → original-id mapping.
-    */
-  def fromLongEdges(rawEdges: Iterable[(Long, Long)]): (CsrGraph, Array[Long]) = {
-    val ids = mutable.SortedSet.empty[Long]
-    rawEdges.foreach { case (u, v) => if (u != v) { ids += u; ids += v } }
-    val toOrig = ids.toArray
-    val toNew = toOrig.zipWithIndex.toMap
-    val g = fromEdges(toOrig.length,
-      rawEdges.collect { case (u, v) if u != v => (toNew(u), toNew(v)) })
-    (g, toOrig)
   }
 }

@@ -18,13 +18,15 @@ object Degeneracy {
     val n = g.n
     if (n == 0) return Decomposition(Array.empty, Array.empty, 0)
 
-    val deg = Array.tabulate(n)(g.degree)
-    val maxDeg = if (n == 0) 0 else deg.max
+    val deg = new Array[Int](n)
+    var v = 0
+    while (v < n) { deg(v) = g.degree(v); v += 1 }
+    val maxDeg = g.maxDegree
 
     // Bucket layout: vertices sorted by current degree (counting sort),
     // with back-pointers so a degree decrement is an O(1) swap.
     val binStart = new Array[Int](maxDeg + 2)
-    var v = 0
+    v = 0
     while (v < n) { binStart(deg(v) + 1) += 1; v += 1 }
     var d = 0
     while (d <= maxDeg) { binStart(d + 1) += binStart(d); d += 1 }

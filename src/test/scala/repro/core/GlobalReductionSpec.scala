@@ -1,7 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.gen.GraphGen
 import repro.graph.{CsrGraph, Degeneracy}
+import scala.collection.mutable
 import TestGraphs._
 
 /** Invariant of Section 4: `mc(G) = mc(G′) + α(ΔV, ΔE)` — the reduction's
@@ -109,5 +111,339 @@ class GlobalReductionSpec extends AnyFunSuite {
       val res = GlobalReduction(g, new CountingSink, new Metrics(g.n))
       assert(Degeneracy.degeneracy(res.reduced) <= Degeneracy.degeneracy(g))
     }
+  }
+
+  /** The slot-indexed reduction against [[BinarySearchGlobalReduction]]. */
+  private def sameAsReference(g: CsrGraph, label: String): Unit = {
+    val sink = new CollectingSink
+    val res = GlobalReduction(g, sink, new Metrics(g.n))
+    val refSink = new CollectingSink
+    val (ref, dirtyDeletions) = BinarySearchGlobalReduction(g, refSink)
+    assert(res.reduced.edges.toSet == ref.reduced.edges.toSet, s"$label: reduced edges")
+    assert(res.reduced.n == g.n, s"$label: id space")
+    assert(res.deletedVertices == ref.deletedVertices, s"$label: deletedVertices")
+    assert(res.deletedEdges == ref.deletedEdges, s"$label: deletedEdges")
+    def multiset(c: Iterable[Set[Int]]) = c.groupBy(identity).map { case (k, v) => k -> v.size }
+    assert(multiset(sink.cliques) == multiset(refSink.cliques), s"$label: pre-reported cliques")
+    // GlobalReduction has no re-probe queue: Lemma 3 already deletes every
+    // edge that loses its last triangle, so re-probing deletes nothing.
+    assert(dirtyDeletions == 0, s"$label: the re-probe queue deleted an edge")
+  }
+
+  /** Holme–Kim core plus a degree-1/2 fringe, whose hub rows are more than
+    * 16 times as long as their fringe neighbours' rows.
+    */
+  private def fringed(seed: Long): CsrGraph =
+    GraphGen.withFringe(GraphGen.powerLawCluster(1500, 3, 0.35, seed), 800, 300, seed).toCsr
+
+  test("same reduction as the binary-search version on G(n, p)") {
+    for (seed <- 1 to 8; (n, p) <- Seq((40, 0.08), (60, 0.1), (50, 0.25), (30, 0.5)))
+      sameAsReference(gnp(n, p, seed), s"gnp($n,$p,$seed)")
+    for (seed <- 1 to 6) sameAsReference(mixed(seed), s"mixed-$seed")
+  }
+
+  test("same reduction as the binary-search version on a fringed preferential-attachment graph") {
+    for (seed <- 1L to 3L) {
+      val g = fringed(seed)
+      val skewed = (0 until g.n).exists(u => g.neighbors(u).exists(v => g.degree(u) > 16 * g.degree(v)))
+      assert(skewed, s"fringed($seed) has no hub row 16x its neighbour's")
+      sameAsReference(g, s"fringed-$seed")
+    }
+  }
+
+  test("same reduction as the binary-search version on cliques with pendants and the empty graph") {
+    for ((k, pend, bridges) <- Seq((5, 3, 2), (12, 20, 6), (30, 10, 0)))
+      sameAsReference(completeWithFringe(k, pend, bridges)._1, s"K$k+$pend+$bridges")
+    sameAsReference(CsrGraph.fromEdges(0, Nil), "empty")
+    sameAsReference(CsrGraph.fromEdges(4, Nil), "edgeless")
+  }
+
+  test("a graph the reduction cannot touch comes back as the same object") {
+    for ((label, g) <- Seq("K40" -> complete(40), "torus" -> GraphGen.triangularTorus(6, 8).toCsr)) {
+      val res = GlobalReduction(g, new CountingSink, new Metrics(g.n))
+      assert(res.reduced eq g, s"$label was rebuilt")
+      assert(res.deletedEdges == 0 && res.deletedVertices == 0, label)
+    }
+  }
+}
+
+/** The global reduction before slot indexing, as a reference for the
+  * differential tests: liveness by binary search, boxed queues, a re-probe
+  * ("dirty") queue, and the reduced graph rebuilt from edge tuples. Also
+  * returns how many edges the re-probe deleted.
+  */
+private object BinarySearchGlobalReduction {
+
+  def apply(g: CsrGraph, sink: CliqueSink): (GlobalReduction.Result, Int) = {
+    val n = g.n
+    val adj = g.adj
+    val off = g.offsets
+    val deg = Array.tabulate(n)(g.degree)
+    val removedV = new Array[Boolean](n)
+    val removedSlot = new Array[Boolean](adj.length) // per directed edge slot
+    val buf = new Array[Int](3)
+    var deletedVertices = 0
+    var dirtyDeletions = 0
+
+    /** Position of `b` in `a`'s sorted adjacency row, or -1. */
+    def posOf(a: Int, b: Int): Int = {
+      var lo = off(a)
+      var hi = off(a + 1) - 1
+      while (lo <= hi) {
+        val mid = (lo + hi) >>> 1
+        val v = adj(mid)
+        if (v == b) return mid
+        else if (v < b) lo = mid + 1
+        else hi = mid - 1
+      }
+      -1
+    }
+
+    def edgeAlive(a: Int, b: Int): Boolean = {
+      if (removedV(a) || removedV(b)) return false
+      val p = posOf(a, b)
+      p >= 0 && !removedSlot(p)
+    }
+
+    def report2(a: Int, b: Int): Unit = {
+      buf(0) = a; buf(1) = b
+      sink.report(buf, 2)
+    }
+    def report3(a: Int, b: Int, c: Int): Unit = {
+      buf(0) = a; buf(1) = b; buf(2) = c
+      sink.report(buf, 3)
+    }
+
+    val queue = mutable.ArrayDeque.empty[Int]
+    val inQueue = new Array[Boolean](n)
+    def enqueueIfLow(v: Int): Unit =
+      if (!removedV(v) && !inQueue(v) && deg(v) <= 2) {
+        queue.append(v); inQueue(v) = true
+      }
+
+    // Dirty queue: canonical slots (u < adj(slot)) whose triangle support
+    // may have changed and must be re-probed by the non-triangle rule.
+    val dirty = mutable.ArrayDeque.empty[Long] // (u << 32) | v, u < v
+    val inDirty = new Array[Boolean](adj.length) // indexed by canonical slot
+    def markDirty(u0: Int, v0: Int): Unit = {
+      val u = math.min(u0, v0)
+      val v = math.max(u0, v0)
+      if (!removedV(u) && !removedV(v)) {
+        val p = posOf(u, v)
+        if (p >= 0 && !removedSlot(p) && !inDirty(p)) {
+          inDirty(p) = true
+          dirty.append((u.toLong << 32) | v.toLong)
+        }
+      }
+    }
+    def removeEdge(u: Int, v: Int): Unit = {
+      // Deleting (u,v) can only break triangles (u,v,z): exactly the edges
+      // (u,z) and (v,z) for live common neighbours z need a re-probe (a
+      // non-triangle edge has none, so its removal enqueues nothing).
+      var i = off(u); val iEnd = off(u + 1)
+      var j = off(v); val jEnd = off(v + 1)
+      while (i < iEnd && j < jEnd) {
+        val a = adj(i); val b = adj(j)
+        if (a == b) {
+          if (!removedV(a) && !removedSlot(i) && !removedSlot(j)) {
+            markDirty(u, a); markDirty(v, a)
+          }
+          i += 1; j += 1
+        } else if (a < b) i += 1
+        else j += 1
+      }
+      removedSlot(posOf(u, v)) = true
+      removedSlot(posOf(v, u)) = true
+      deg(u) -= 1; deg(v) -= 1
+      enqueueIfLow(u); enqueueIfLow(v)
+    }
+
+    def removeVertex(v: Int): Unit = {
+      var i = off(v)
+      val end = off(v + 1)
+      while (i < end) {
+        val u = adj(i)
+        if (!removedSlot(i) && !removedV(u)) {
+          deg(u) -= 1
+          enqueueIfLow(u)
+        }
+        i += 1
+      }
+      removedV(v) = true
+      deletedVertices += 1
+    }
+
+    /** The (up to) two live neighbours of a degree-≤2 vertex. */
+    val nbr2 = new Array[Int](2)
+    def liveNeighbors2(v: Int): Int = {
+      var k = 0
+      var i = off(v)
+      val end = off(v + 1)
+      while (i < end && k < 2) {
+        val u = adj(i)
+        if (!removedSlot(i) && !removedV(u)) { nbr2(k) = u; k += 1 }
+        i += 1
+      }
+      k
+    }
+
+    /** One live common neighbour of u and v other than `skip`, or -1. The
+      * merge walks both rows by position, so liveness checks are O(1);
+      * heavily skewed pairs (hub edges) switch to probing the small row's
+      * entries into the large row by binary search.
+      */
+    def commonNeighbor(u: Int, v: Int, skip: Int): Int = {
+      val du = off(u + 1) - off(u)
+      val dv = off(v + 1) - off(v)
+      if (du > 16 * dv || dv > 16 * du) {
+        val small = if (du <= dv) u else v
+        val large = if (du <= dv) v else u
+        var i = off(small)
+        val end = off(small + 1)
+        while (i < end) {
+          val a = adj(i)
+          if (a != skip && !removedSlot(i) && !removedV(a)) {
+            val p = posOf(large, a)
+            if (p >= 0 && !removedSlot(p)) return a
+          }
+          i += 1
+        }
+        -1
+      } else {
+        var i = off(u); val iEnd = off(u + 1)
+        var j = off(v); val jEnd = off(v + 1)
+        while (i < iEnd && j < jEnd) {
+          val a = adj(i); val b = adj(j)
+          if (a == b) {
+            if (a != skip && !removedV(a) && !removedSlot(i) && !removedSlot(j)) return a
+            i += 1; j += 1
+          } else if (a < b) i += 1
+          else j += 1
+        }
+        -1
+      }
+    }
+
+    /** Alg. 5 over the pending queue (handles cascades). */
+    def vertexReduction(): Unit = {
+      while (queue.nonEmpty) {
+        val v = queue.removeHead()
+        inQueue(v) = false
+        if (!removedV(v)) {
+          val d = deg(v)
+          if (d == 0) {
+            // Lemma 1 — all its cliques were reported when its edges went.
+            if (g.degree(v) > 0) removeVertex(v)
+          } else if (d == 1) {
+            // Lemma 2: {v,u} is a maximal 2-clique.
+            liveNeighbors2(v)
+            val u = nbr2(0)
+            report2(v, u)
+            removeVertex(v)
+          } else if (d == 2) {
+            // Lemma 3, three scenarios.
+            liveNeighbors2(v)
+            val u = nbr2(0); val w = nbr2(1)
+            if (!edgeAlive(u, w)) {
+              report2(v, u); report2(v, w)
+              removeVertex(v)
+            } else if (commonNeighbor(u, w, skip = v) < 0) {
+              // {v,u,w} is the last clique over edge (u,w): delete it too so
+              // {u,w} is never reported as a (non-maximal) 2-clique later.
+              report3(v, u, w)
+              removeVertex(v)
+              removeEdge(u, w)
+            } else {
+              report3(v, u, w)
+              removeVertex(v)
+              // (u,w) survives but v was one of its triangle witnesses.
+              markDirty(u, w)
+            }
+          }
+        }
+      }
+    }
+
+    /** Alg. 6, single full pass with the paper's visited-triangle marking:
+      * once an edge is seen inside a triangle, its two sibling edges need
+      * no probe of their own this pass. Later support changes are handled
+      * by the dirty queue, not by re-scanning. `visited` is indexed by
+      * canonical slot (the u→v direction with u < v).
+      */
+    def initialEdgePass(): Unit = {
+      val visited = new Array[Boolean](adj.length)
+      def markVisited(a0: Int, b0: Int): Unit = {
+        val a = math.min(a0, b0); val b = math.max(a0, b0)
+        val p = posOf(a, b)
+        if (p >= 0) visited(p) = true
+      }
+      var u = 0
+      while (u < n) {
+        if (!removedV(u)) {
+          var i = off(u)
+          val end = off(u + 1)
+          while (i < end) {
+            val v = adj(i)
+            if (u < v && !visited(i) && !removedSlot(i) && !removedV(v)) {
+              val c = commonNeighbor(u, v, skip = -1)
+              if (c < 0) {
+                report2(u, v)
+                removeEdge(u, v)
+              } else {
+                visited(i) = true
+                markVisited(u, c)
+                markVisited(v, c)
+              }
+            }
+            i += 1
+          }
+        }
+        u += 1
+      }
+    }
+
+    /** Re-probe edges whose support may have changed. */
+    def processDirty(): Unit = {
+      while (dirty.nonEmpty) {
+        val k = dirty.removeHead()
+        val u = (k >>> 32).toInt
+        val v = (k & 0xFFFFFFFFL).toInt
+        val p = posOf(u, v)
+        if (p >= 0) inDirty(p) = false
+        if (edgeAlive(u, v) && commonNeighbor(u, v, skip = -1) < 0) {
+          report2(u, v)
+          removeEdge(u, v)
+          dirtyDeletions += 1
+        }
+      }
+    }
+
+    // Low-degree peel, one full edge pass, then localised re-probes to a
+    // joint fix-point.
+    var v = 0
+    while (v < n) { enqueueIfLow(v); v += 1 }
+    vertexReduction()
+    initialEdgePass()
+    while (queue.nonEmpty || dirty.nonEmpty) {
+      vertexReduction()
+      processDirty()
+    }
+
+    val reducedEdges = mutable.ArrayBuffer.empty[(Int, Int)]
+    v = 0
+    while (v < n) {
+      if (!removedV(v)) {
+        var i = off(v)
+        val end = off(v + 1)
+        while (i < end) {
+          val u = adj(i)
+          if (v < u && !removedSlot(i) && !removedV(u)) reducedEdges += ((v, u))
+          i += 1
+        }
+      }
+      v += 1
+    }
+    val reduced = CsrGraph.fromEdges(n, reducedEdges)
+    (GlobalReduction.Result(reduced, deletedVertices, g.m - reduced.m), dirtyDeletions)
   }
 }

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 
 class CsrGraphSpec extends AnyFunSuite {
 
@@ -53,6 +54,37 @@ class CsrGraphSpec extends AnyFunSuite {
     assert((0 until 5).map(h.degree) == Seq(0, 3, 2, 3, 2))
   }
 
+  /** Rows sorted and duplicate-free, `split` at the first later neighbour. */
+  private def wellFormed(h: CsrGraph, label: String): Unit =
+    for (v <- 0 until h.n) {
+      val row = h.neighbors(v)
+      assert(row.toSeq == row.distinct.sorted.toSeq, s"$label: row $v")
+      assert(h.split(v) - h.offsets(v) == row.count(_ < v), s"$label: split($v)")
+    }
+
+  test("relabelled equals a tuple-rebuild oracle on random graphs and permutations") {
+    val rnd = new Random(17)
+    for (trial <- 0 until 40) {
+      val n = 1 + rnd.nextInt(60)
+      val p = rnd.nextDouble() * 0.4
+      val edges = for (i <- 0 until n; j <- (i + 1) until n if rnd.nextDouble() < p) yield (i, j)
+      val h = CsrGraph.fromEdges(n, edges)
+      val order = rnd.shuffle((0 until n).toVector).toArray
+      val pos = new Array[Int](n)
+      for (i <- 0 until n) pos(order(i)) = i
+      val oracle = CsrGraph.fromEdges(n, h.edges.map { case (u, v) => (pos(u), pos(v)) })
+      val r = h.relabelled(order)
+      wellFormed(r, s"trial $trial")
+      assert(r.offsets.toSeq == oracle.offsets.toSeq, s"trial $trial: offsets")
+      assert(r.adj.toSeq == oracle.adj.toSeq, s"trial $trial: adj")
+      assert(r.split.toSeq == oracle.split.toSeq, s"trial $trial: split")
+    }
+  }
+
+  test("relabelled rejects an order that is not a permutation") {
+    assertThrows[IllegalArgumentException](g.relabelled(Array(0, 1, 2, 2, 4)))
+  }
+
   test("fromLongEdges compacts ids and returns the mapping") {
     val (h, toOrig) = CsrGraph.fromLongEdges(Seq((100L, 7L), (7L, 55L), (100L, 55L)))
     assert(h.n == 3)
@@ -65,6 +97,26 @@ class CsrGraphSpec extends AnyFunSuite {
     val (h, toOrig) = CsrGraph.fromLongEdges(Seq((5L, 5L), (1L, 2L)))
     assert(h.n == 2)
     assert(toOrig.toSeq == Seq(1L, 2L))
+  }
+
+  test("fromLongEdges: negative ids, ids above Int.MaxValue, self-loops, duplicates") {
+    val big = Int.MaxValue.toLong + 5
+    val raw = Seq((-3L, big), (big, -3L), (-3L, big), (7L, 7L), (Long.MinValue, 7L),
+      (Long.MaxValue, big), (big, big), (-3L, 0L), (0L, 7L), (7L, 0L))
+    val (h, toOrig) = CsrGraph.fromLongEdges(raw)
+    assert(toOrig.toSeq == Seq(Long.MinValue, -3L, 0L, 7L, big, Long.MaxValue))
+    assert(h.n == 6)
+    wellFormed(h, "long ids")
+    val expected = raw.collect { case (a, b) if a != b => Set(a, b) }.toSet
+    assert(h.m == expected.size)
+    assert(h.edges.map { case (a, b) => Set(toOrig(a), toOrig(b)) }.toSet == expected)
+  }
+
+  test("fromLongEdges on an empty or all-loop list") {
+    for (raw <- Seq(Seq.empty[(Long, Long)], Seq((4L, 4L)))) {
+      val (h, toOrig) = CsrGraph.fromLongEdges(raw)
+      assert(h.n == 0 && h.m == 0 && toOrig.isEmpty)
+    }
   }
 
   test("rejects out-of-range vertices") {
