@@ -81,10 +81,11 @@ object RunMce {
     try {
       val edges = repro.gen.Datasets.edgesDF(spark, args(0))
       val res = repro.spark.DistributedMCE.run(spark, edges, cfg)
+      val m = res.metrics
       println(s"dataset=${args(0)} algo=${cfg.label} cliques=${res.cliqueCount} " +
-        s"checksum=${res.checksum} preReported=${res.preReportedGlobal} " +
-        s"deletedV=${res.deletedVertices} deletedE=${res.deletedEdges} " +
-        s"recursiveCalls=${res.metrics.recursiveCalls} degeneracy=${res.degeneracy}")
+        s"checksum=${res.checksum} preReported=${m.preReportedGlobal} " +
+        s"deletedV=${m.globalDeletedVertices} deletedE=${m.globalDeletedEdges} " +
+        s"recursiveCalls=${m.recursiveCalls} degeneracy=${res.degeneracy}")
     } finally spark.stop()
   }
 }

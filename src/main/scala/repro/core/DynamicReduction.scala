@@ -149,63 +149,53 @@ final class DynamicReduction(n: Int) {
         else { removed(d) = v; d += 1 }
         i += 1
       }
+      // Patch the survivors' degrees: a dropped vertex had at most one
+      // P-neighbour, `onlyNbr`. Pass 1 has ended, so it no longer reads them.
+      i = 0
+      while (i < removed.length) {
+        val v = removed(i)
+        if (degP(v) == 1 && dropped(onlyNbr(v)) != myGen) degP(onlyNbr(v)) -= 1
+        i += 1
+      }
+      anyFull = false
+      i = 0
+      while (i < p1.length) { if (degP(p1(i)) == p1.length - 1) anyFull = true; i += 1 }
     }
 
     // Pass 2: dynamic degree-(|P′|−1) (Lemma 8) over the (possibly shrunk)
     // candidate set. A vertex adjacent to all others stays adjacent to all
     // others as peers get hoisted, so a single scan finds the full hoist
-    // set. Degrees are recomputed only if pass 1 removed something;
-    // otherwise the first scan's values are still valid.
+    // set.
     var hoisted = 0
     var x1 = x
-    if (p1.length > 0 && (anyFull || nDropped > 0)) {
-      if (nDropped > 0) {
-        gen += 1
-        val g2 = gen
-        i = 0
-        while (i < p1.length) { inP(p1(i)) = g2; i += 1 }
-        anyFull = false
-        i = 0
-        while (i < p1.length) {
-          val v = p1(i)
-          var d = 0
-          var j = off(v)
-          val end = off(v + 1)
-          while (j < end) { if (inP(adj(j)) == g2) d += 1; j += 1 }
-          degP(v) = d
-          if (d == p1.length - 1) anyFull = true
-          i += 1
-        }
-      }
-      if (anyFull) {
-        val keep = new Array[Int](p1.length)
-        var k = 0
-        var nRemoved = removed.length
-        i = 0
-        while (i < p1.length) {
-          val v = p1(i)
-          if (degP(v) == p1.length - 1) {
-            r.push(v)
-            hoisted += 1
-            x1 = IntSets.intersect(x1, 0, x1.length, adj, off(v), off(v + 1))
-            // A removed vertex has at most one P-neighbour, so this keeps
-            // only those whose one P-neighbour is v; binary probes suffice.
-            var kept = 0
-            var j = 0
-            while (j < nRemoved) {
-              val u = removed(j)
-              if (IntSets.contains(adj, off(v), off(v + 1), u)) { removed(kept) = u; kept += 1 }
-              j += 1
-            }
-            nRemoved = kept
-          } else {
-            keep(k) = v; k += 1
+    if (anyFull) {
+      val keep = new Array[Int](p1.length)
+      var k = 0
+      var nRemoved = removed.length
+      i = 0
+      while (i < p1.length) {
+        val v = p1(i)
+        if (degP(v) == p1.length - 1) {
+          r.push(v)
+          hoisted += 1
+          x1 = IntSets.intersect(x1, 0, x1.length, adj, off(v), off(v + 1))
+          // A removed vertex has at most one P-neighbour, so this keeps
+          // only those whose one P-neighbour is v; binary probes suffice.
+          var kept = 0
+          var j = 0
+          while (j < nRemoved) {
+            val u = removed(j)
+            if (IntSets.contains(adj, off(v), off(v + 1), u)) { removed(kept) = u; kept += 1 }
+            j += 1
           }
-          i += 1
+          nRemoved = kept
+        } else {
+          keep(k) = v; k += 1
         }
-        p1 = java.util.Arrays.copyOf(keep, k)
-        if (nRemoved < removed.length) removed = java.util.Arrays.copyOf(removed, nRemoved)
+        i += 1
       }
+      p1 = java.util.Arrays.copyOf(keep, k)
+      if (nRemoved < removed.length) removed = java.util.Arrays.copyOf(removed, nRemoved)
     }
     new DynOutcome(p1, x1, removed, hoisted)
   }

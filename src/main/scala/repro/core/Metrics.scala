@@ -8,7 +8,9 @@ package repro.core
   * ratios (Fig. 10). `vertexVisits` is indexed by *original* vertex id; a
   * "visit" is one appearance of a vertex in the `P` or `X` set of a
   * recursive call, the same definition for every algorithm so ratios are
-  * comparable.
+  * comparable. This is the one record of a run's counters: result types
+  * (`BenchRunner.RunStats`, `DistributedMCE.Result`) carry it rather than
+  * copies of its fields.
   */
 final class Metrics(val n: Int) extends Serializable {
   var recursiveCalls: Long = 0L

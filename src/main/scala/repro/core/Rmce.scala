@@ -363,16 +363,23 @@ private final class Engine(
           }
         }
       }
-      // Degree-(|P'|-1) hoisting (degrees recomputed only if pass 1 removed
-      // anything; a pure hoist shifts every survivor's degree by the same
-      // constant, patched below).
-      if (anyRemoved) computeDu(pb)
+      // Degree-(|P'|-1) hoisting. Survivors' degrees are patched, not
+      // rescanned: a removed vertex had at most one P-neighbour. A hoist
+      // shifts every survivor's degree by the same constant, patched below.
       val kNow = if (anyRemoved) Bits.popcount(pb, 0, w) else pSize
       var removed = Engine.EmptyInts
       if (anyRemoved) {
         removed = new Array[Int](pSize - kNow)
         var j = 0
-        Bits.forEachBit(pb0, 0, w) { u => if (!Bits.testBit(pb, 0, u)) { removed(j) = u; j += 1 } }
+        Bits.forEachBit(pb0, 0, w) { u =>
+          if (!Bits.testBit(pb, 0, u)) {
+            removed(j) = u; j += 1
+            if (duScratch(u) == 1) {
+              val v = Bits.singleBitOfAnd(masks, u * w, pb0, 0, w)
+              if (Bits.testBit(pb, 0, v)) duScratch(v) -= 1
+            }
+          }
+        }
       }
       var hoisted = 0
       var xsOut = xs

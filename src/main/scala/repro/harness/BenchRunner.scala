@@ -1,5 +1,6 @@
 package repro.harness
 
+import java.lang.management.ManagementFactory
 import repro.core._
 import repro.gen.Datasets
 import repro.graph.CsrGraph
@@ -8,56 +9,53 @@ import repro.graph.CsrGraph
   * jobs.
   *
   * The paper's numbers are single-threaded C++ wall-clock; for table shape
-  * we therefore time the local kernel directly (one warm-up, median of
-  * `reps`). The distributed path is exercised by `DistributedMceBench` /
-  * tests, where per-job scheduling overhead would otherwise drown the
-  * algorithmic signal on second-scale stand-ins.
+  * we therefore time the local kernel directly. The distributed path is
+  * exercised by `DistributedMceBench` / tests, where per-job scheduling
+  * overhead would otherwise drown the algorithmic signal on second-scale
+  * stand-ins.
   */
 object BenchRunner {
 
+  /** One configuration's timing on one graph; every counter of the run is
+    * in `metrics`.
+    */
   final case class RunStats(
       dataset: String,
       algo: String,
       timeMs: Double,
       cliques: Long,
       checksum: Long,
-      recursiveCalls: Long,
-      preGlobal: Long,
-      preDynamic: Long,
-      deletedVertices: Long,
-      deletedEdges: Long,
-      rootSubproblems: Long,
-      forbiddenXTotal: Long,
-      forbiddenXKept: Long,
-      forbiddenReducedRoots: Long,
       metrics: Metrics)
 
-  /** Time one configuration on one graph (kernel only, driver-local). */
-  def timeLocal(dataset: String, g: CsrGraph, cfg: RmceConfig,
-                warmups: Int = 1, reps: Int = 3): RunStats = {
-    var i = 0
-    while (i < warmups) {
-      Rmce.run(g, cfg, new CountingSink)
-      i += 1
-    }
-    val times = new Array[Double](reps)
-    var last: (CountingSink, Metrics) = null
-    i = 0
-    while (i < reps) {
+  private val threadMx = ManagementFactory.getThreadMXBean
+
+  /** Time the configurations of one table row together (kernel only,
+    * driver-local). Each config runs once untimed, then `reps` rounds run
+    * every config once each, so a slow host phase lands on all of them.
+    * A run is timed by the calling thread's CPU time; each config gets its
+    * median. All configs must report the same clique set.
+    */
+  def timeLocal(dataset: String, g: CsrGraph, cfgs: Seq[RmceConfig],
+                reps: Int = 3): Seq[RunStats] = {
+    require(cfgs.nonEmpty && reps > 0)
+    cfgs.foreach(Rmce.run(g, _, new CountingSink))
+    val times = Array.fill(cfgs.size)(new Array[Double](reps))
+    val last = new Array[(CountingSink, Metrics)](cfgs.size)
+    for (i <- 0 until reps; (cfg, c) <- cfgs.zipWithIndex) {
       val sink = new CountingSink
-      val metrics = new Metrics(g.n)
-      val t0 = System.nanoTime()
-      Rmce.run(g, cfg, sink, metrics)
-      times(i) = (System.nanoTime() - t0) / 1e6
-      last = (sink, metrics)
-      i += 1
+      val t0 = threadMx.getCurrentThreadCpuTime
+      val metrics = Rmce.run(g, cfg, sink)
+      times(c)(i) = (threadMx.getCurrentThreadCpuTime - t0) / 1e6
+      last(c) = (sink, metrics)
     }
-    java.util.Arrays.sort(times)
-    val (sink, m) = last
-    RunStats(dataset, cfg.label, times(reps / 2), sink.count, sink.checksum,
-      m.recursiveCalls, m.preReportedGlobal, m.preReportedDynamic,
-      m.globalDeletedVertices, m.globalDeletedEdges,
-      m.rootSubproblems, m.forbiddenXTotal, m.forbiddenXKept, m.forbiddenReducedRoots, m)
+    val stats = cfgs.indices.map { c =>
+      java.util.Arrays.sort(times(c))
+      val (sink, metrics) = last(c)
+      RunStats(dataset, cfgs(c).label, times(c)(reps / 2), sink.count, sink.checksum, metrics)
+    }
+    require(stats.map(s => (s.cliques, s.checksum)).distinct.size == 1,
+      s"$dataset: ${cfgs.map(_.label).mkString(", ")} disagree on the clique set")
+    stats
   }
 
   def dataset(abbr: String): CsrGraph = Datasets.byAbbr(abbr).csr

@@ -69,14 +69,10 @@ object Reports {
 
   def table3(reps: Int = 3): (String, Seq[AblationRow]) = {
     val k = RecursionKind.Degen
+    val cfgs = Seq(RmceConfig.rmce(k), RmceConfig.variant1(k), RmceConfig.variant2(k),
+      RmceConfig.variant3(k))
     val rows = allAbbrs.map { abbr =>
-      val g = csr(abbr)
-      val full = timeLocal(abbr, g, RmceConfig.rmce(k), 1, reps)
-      val v1 = timeLocal(abbr, g, RmceConfig.variant1(k), 1, reps)
-      val v2 = timeLocal(abbr, g, RmceConfig.variant2(k), 1, reps)
-      val v3 = timeLocal(abbr, g, RmceConfig.variant3(k), 1, reps)
-      require(Set(full, v1, v2, v3).map(s => (s.cliques, s.checksum)).size == 1,
-        s"$abbr: ablation variants disagree on the clique set")
+      val Seq(full, v1, v2, v3) = timeLocal(abbr, csr(abbr), cfgs, reps)
       val p = paperTable3(abbr)
       AblationRow(abbr, full.timeMs, v1.timeMs, v2.timeMs, v3.timeMs, full.cliques,
         p._1, p._2, p._3, p._4)
@@ -99,17 +95,14 @@ object Reports {
 
   def fig7(reps: Int = 3,
            recursions: Seq[RecursionKind] = RecursionKind.all): (String, Seq[SpeedupRow]) = {
-    val rows = for {
-      abbr <- allAbbrs
-      k <- recursions
-    } yield {
-      val g = csr(abbr)
-      val base = timeLocal(abbr, g, RmceConfig.baseline(k), 1, reps)
-      val rmce = timeLocal(abbr, g, RmceConfig.rmce(k), 1, reps)
-      require(base.cliques == rmce.cliques && base.checksum == rmce.checksum,
-        s"$abbr/${k.name}: clique sets diverge between baseline and RMCE")
-      SpeedupRow(abbr, k.name, base.timeMs, rmce.timeMs, base.timeMs / rmce.timeMs,
-        base.cliques, base.recursiveCalls, rmce.recursiveCalls)
+    val cfgs = recursions.flatMap(k => Seq(RmceConfig.baseline(k), RmceConfig.rmce(k)))
+    val rows = allAbbrs.flatMap { abbr =>
+      val stats = timeLocal(abbr, csr(abbr), cfgs, reps)
+      recursions.zipWithIndex.map { case (k, i) =>
+        val (base, rmce) = (stats(2 * i), stats(2 * i + 1))
+        SpeedupRow(abbr, k.name, base.timeMs, rmce.timeMs, base.timeMs / rmce.timeMs,
+          base.cliques, base.metrics.recursiveCalls, rmce.metrics.recursiveCalls)
+      }
     }
     val text = formatTable(
       Seq("abbr", "recursion", "BK (ms)", "RMCE (ms)", "speedup", "cliques"),
@@ -153,12 +146,12 @@ object Reports {
       k <- recursions
     } yield {
       val g = csr(abbr)
-      val base = timeLocal(abbr, g, RmceConfig.baseline(k), 0, 1)
-      val rmce = timeLocal(abbr, g, RmceConfig.rmce(k), 0, 1)
+      val base = Rmce.run(g, RmceConfig.baseline(k), new CountingSink).recursiveCalls
+      val rmce = Rmce.run(g, RmceConfig.rmce(k), new CountingSink).recursiveCalls
       val ratio =
-        if (base.recursiveCalls == 0) if (rmce.recursiveCalls == 0) 0.0 else 1.0
-        else rmce.recursiveCalls.toDouble / base.recursiveCalls
-      CallsRow(abbr, k.name, base.recursiveCalls, rmce.recursiveCalls, ratio)
+        if (base == 0) if (rmce == 0) 0.0 else 1.0
+        else rmce.toDouble / base
+      CallsRow(abbr, k.name, base, rmce, ratio)
     }
     val text = formatTable(
       Seq("abbr", "recursion", "BK calls", "RMCE calls", "ratio"),
@@ -176,8 +169,7 @@ object Reports {
   def fig10(): (String, Seq[ForbiddenRow]) = {
     val rows = allAbbrs.map { abbr =>
       val g = csr(abbr)
-      val stats = timeLocal(abbr, g, RmceConfig.rmce(RecursionKind.Degen), 0, 1)
-      val m = stats.metrics
+      val m = Rmce.run(g, RmceConfig.rmce(RecursionKind.Degen), new CountingSink)
       ForbiddenRow(abbr,
         1.0 - m.forbiddenKeepRatio,
         m.forbiddenReducedRootRatio,
@@ -210,17 +202,15 @@ object Reports {
           while (i < len) { cliquesPerVertex(vs(i)) += 1; i += 1 }
         }
       }
-      Rmce.run(g, RmceConfig.baseline(RecursionKind.Degen), sink)
+      val vBk = Rmce.run(g, RmceConfig.baseline(RecursionKind.Degen), sink).visitsByDegree(degOf)
       val cliquesByDeg = mutable.Map.empty[Int, Long]
       for (v <- 0 until g.n if cliquesPerVertex(v) > 0)
         cliquesByDeg(degOf(v)) = cliquesByDeg.getOrElse(degOf(v), 0L) + cliquesPerVertex(v)
 
-      val bk = timeLocal(abbr, g, RmceConfig.baseline(RecursionKind.Degen), 0, 1)
-      val rcd = timeLocal(abbr, g, RmceConfig.baseline(RecursionKind.Rcd), 0, 1)
-      val rmce = timeLocal(abbr, g, RmceConfig.rmce(RecursionKind.Degen), 0, 1)
-      val vBk = bk.metrics.visitsByDegree(degOf)
-      val vRcd = rcd.metrics.visitsByDegree(degOf)
-      val vRmce = rmce.metrics.visitsByDegree(degOf)
+      def visits(cfg: RmceConfig): Map[Int, Long] =
+        Rmce.run(g, cfg, new CountingSink).visitsByDegree(degOf)
+      val vRcd = visits(RmceConfig.baseline(RecursionKind.Rcd))
+      val vRmce = visits(RmceConfig.rmce(RecursionKind.Degen))
       // Representative degrees: the paper's Figure 11 spans the whole degree
       // axis, so report the low degrees it calls out (3, 5, 10 — where
       // global reduction strikes) plus the most visit-heavy degrees under

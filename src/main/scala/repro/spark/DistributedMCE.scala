@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
-import repro.graph.{CsrGraph, Degeneracy}
+import repro.graph.CsrGraph
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
@@ -48,12 +48,13 @@ private final class CliqueStrings(toLong: Array[Long]) extends CliqueSink {
   */
 object DistributedMCE {
 
+  /** A run's clique count and checksum over the original ids, the vertices
+    * with edges left after global reduction, the degeneracy of that graph,
+    * and every counter of the run (driver-side prepare plus all tasks).
+    */
   final case class Result(
       cliqueCount: Long,
       checksum: Long,
-      preReportedGlobal: Long,
-      deletedVertices: Long,
-      deletedEdges: Long,
       reducedN: Int,
       degeneracy: Int,
       metrics: Metrics)
@@ -77,31 +78,33 @@ object DistributedMCE {
     (Rmce.prepare(g, cfg, sink, metrics), toLong, sink, metrics)
   }
 
+  /** Tasks per core when the caller sets no count: several, so a core whose
+    * roots are cheap takes another task while a costly one runs.
+    */
+  private val TasksPerCore = 4
+
   /** Broadcast the prepared graph and id table and run `search` once per
-    * task, over a round-robin group of roots.
+    * task; task `t` of `tasks` takes the roots `t until n by tasks`.
     */
   private def farm[T: ClassTag](spark: SparkSession, prepared: Rmce.Prepared,
-                                toLong: Array[Long], tasks: Int)(
-      search: (Rmce.Prepared, Array[Long], Seq[Int]) => T): RDD[T] = {
+                                toLong: Array[Long], numTasks: Int)(
+      search: (Rmce.Prepared, Array[Long], Range) => T): RDD[T] = {
     val sc = spark.sparkContext
+    val tasks = math.max(1, if (numTasks > 0) numTasks else sc.defaultParallelism * TasksPerCore)
     val bc = sc.broadcast((prepared, toLong))
     val n = prepared.graph.n
-    val rootGroups: Seq[Seq[Int]] = (0 until tasks).map(t => (t until n by tasks).toSeq)
-    sc.parallelize(rootGroups, tasks).map { roots =>
+    sc.parallelize(0 until tasks, tasks).map { t =>
       val (prep, ids) = bc.value
-      search(prep, ids, roots)
+      search(prep, ids, t until n by tasks)
     }
   }
-
-  private def taskCount(spark: SparkSession, numTasks: Int, perCore: Int): Int =
-    math.max(1, if (numTasks > 0) numTasks else spark.sparkContext.defaultParallelism * perCore)
 
   /** Run the full distributed pipeline. */
   def run(spark: SparkSession, edgesDf: DataFrame, cfg: RmceConfig,
           numTasks: Int = 0): Result = {
     val (prepared, toLong, pre, metrics) = prepare(edgesDf, cfg)(new LongCountingSink(_))
     val (count, checksum, farmed) =
-      farm(spark, prepared, toLong, taskCount(spark, numTasks, 4)) { (prep, ids, roots) =>
+      farm(spark, prepared, toLong, numTasks) { (prep, ids, roots) =>
         val sink = new LongCountingSink(ids)
         val m = new Metrics(prep.graph.n)
         Rmce.runRoots(prep, roots, cfg, sink, m)
@@ -112,26 +115,9 @@ object DistributedMCE {
     Result(
       cliqueCount = pre.count + count,
       checksum = pre.checksum + checksum,
-      preReportedGlobal = metrics.preReportedGlobal,
-      deletedVertices = metrics.globalDeletedVertices,
-      deletedEdges = metrics.globalDeletedEdges,
       reducedN = (0 until g.n).count(g.degree(_) > 0),
       degeneracy = prepared.degeneracy,
       metrics = metrics)
-  }
-
-  /** Driver-only reference run over the same collected graph (identical ids
-    * and hashing), for differential tests against the distributed path.
-    * `reducedN` and `degeneracy` describe the collected graph.
-    */
-  def runLocal(spark: SparkSession, edgesDf: DataFrame, cfg: RmceConfig): Result = {
-    val (g, toLong) = collectGraph(edgesDf)
-    val sink = new LongCountingSink(toLong)
-    val metrics = new Metrics(g.n)
-    Rmce.run(g, cfg, sink, metrics)
-    Result(sink.count, sink.checksum, metrics.preReportedGlobal,
-      metrics.globalDeletedVertices, metrics.globalDeletedEdges,
-      g.n, Degeneracy.degeneracy(g), metrics)
   }
 
   /** Materialise the clique set as a DataFrame of canonical strings
@@ -142,7 +128,7 @@ object DistributedMCE {
               numTasks: Int = 0): DataFrame = {
     val (prepared, toLong, pre, _) = prepare(edgesDf, cfg)(new CliqueStrings(_))
     val searched =
-      farm(spark, prepared, toLong, taskCount(spark, numTasks, 1)) { (prep, ids, roots) =>
+      farm(spark, prepared, toLong, numTasks) { (prep, ids, roots) =>
         val sink = new CliqueStrings(ids)
         Rmce.runRoots(prep, roots, cfg, sink, new Metrics(prep.graph.n))
         sink.out

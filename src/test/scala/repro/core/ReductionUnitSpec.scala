@@ -79,6 +79,47 @@ class ReductionUnitSpec extends AnyFunSuite {
     assert(out.removed.toSeq == Seq(1, 2))
   }
 
+  /** R = {0}, P = {a, b, c, d} = {1, 2, 3, 4}: the triangle abc and the edge
+    * d–a, with d unmarked. Lemma 7 drops d (reporting {0, a, d}); a's degree
+    * in P then falls from 3 to 2, so a, b and c are all hoisted by Lemma 8.
+    * In `dropLiftsHoist` the vertices 5..10 form a K6 that gives every
+    * vertex but 0 degree 5 or more with every edge in a triangle, so global
+    * reduction deletes nothing and 0, the one vertex of degree 4, is first
+    * in degeneracy order: its root subproblem has exactly this P and X = ∅.
+    */
+  private val dropLiftsHoistCore = Seq((1, 2), (1, 3), (2, 3), (4, 1)) ++ (1 to 4).map((0, _))
+  private val dropLiftsHoist = CsrGraph.fromEdges(11, dropLiftsHoistCore ++
+    (for (i <- 5 to 10; j <- (i + 1) to 10) yield (i, j)) ++
+    Seq((2, 5), (2, 6), (3, 7), (3, 8), (4, 9), (4, 10), (4, 5), (1, 6)))
+
+  test("dynamic degree-(|P|-1) after a drop: the dropped vertex's partner is hoisted too") {
+    val g = CsrGraph.fromEdges(5, dropLiftsHoistCore)
+    val r = new IntStack(); r.push(0)
+    val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
+    val out = new DynamicReduction(g.n).apply(g, r, Array(1, 2, 3, 4), Array.empty,
+      (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
+    assert(reports.toSeq == Seq(Set(0, 1, 4)))
+    assert(out.hoisted == 3 && (0 until r.size).map(r(_)) == Seq(0, 1, 2, 3))
+    assert(out.p.isEmpty && out.x.isEmpty && out.removed.isEmpty)
+  }
+
+  test("dynamic degree-(|P|-1) after a drop, facen bitset version via Rmce.run") {
+    val g = dropLiftsHoist
+    val cfg = RmceConfig.rmce(RecursionKind.Facen)
+    val all = new CollectingSink
+    Rmce.run(g, cfg, all)
+    assert(all.cliques.toSet == BruteForce.maximalCliques(g) && all.cliques.size == all.cliques.toSet.size)
+
+    val m = new Metrics(g.n)
+    val root = new CollectingSink
+    val prepared = Rmce.prepare(g, cfg, root, m)
+    assert(m.globalDeletedEdges == 0 && prepared.toOrig(0) == 0)
+    Rmce.runRoots(prepared, Seq(0), cfg, root, m)
+    // One call: d is dropped, a, b, c hoisted, and {0, a, b, c} reported.
+    assert(root.cliques.toSet == Set(Set(0, 1, 4), Set(0, 1, 2, 3)))
+    assert(m.recursiveCalls == 1 && m.preReportedDynamic == 1)
+  }
+
   /** R = {0}, P = {1..5}; vertex 1 is dynamic degree-1 with partner 2,
     * which has more P-neighbours and survives. Per case: the other P-edges,
     * X, the hoisted vertex (-1: none), and the expected P′ and removed set.

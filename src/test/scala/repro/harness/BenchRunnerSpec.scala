@@ -7,21 +7,25 @@ class BenchRunnerSpec extends AnyFunSuite {
 
   test("timeLocal returns consistent stats") {
     val g = TestGraphs.mixed(3)
-    val s = BenchRunner.timeLocal("mixed3", g, RmceConfig.rmce(RecursionKind.Degen), 1, 3)
-    assert(s.dataset == "mixed3")
-    assert(s.algo == "RMCEdegen")
-    assert(s.timeMs > 0)
-    assert(s.cliques > 0)
-    assert(s.recursiveCalls >= 0)
-    assert(s.forbiddenXKept <= s.forbiddenXTotal)
+    val cfgs = Seq(RmceConfig.rmce(RecursionKind.Degen), RmceConfig.baseline(RecursionKind.Degen))
+    val stats = BenchRunner.timeLocal("mixed3", g, cfgs, 3)
+    assert(stats.map(_.algo) == Seq("RMCEdegen", "BKdegen"))
+    stats.foreach { s =>
+      assert(s.dataset == "mixed3")
+      assert(s.timeMs > 0)
+      assert(s.cliques > 0)
+      assert(s.metrics.forbiddenXKept <= s.metrics.forbiddenXTotal)
+    }
+    assert(stats.head.metrics.recursiveCalls <= stats(1).metrics.recursiveCalls)
   }
 
   test("timeLocal is deterministic in results across repetitions") {
     val g = TestGraphs.mixed(5)
-    val a = BenchRunner.timeLocal("m", g, RmceConfig.baseline(RecursionKind.Rcd), 0, 1)
-    val b = BenchRunner.timeLocal("m", g, RmceConfig.baseline(RecursionKind.Rcd), 0, 3)
+    val cfg = Seq(RmceConfig.baseline(RecursionKind.Rcd))
+    val Seq(a) = BenchRunner.timeLocal("m", g, cfg, 1)
+    val Seq(b) = BenchRunner.timeLocal("m", g, cfg, 3)
     assert(a.cliques == b.cliques && a.checksum == b.checksum)
-    assert(a.recursiveCalls == b.recursiveCalls)
+    assert(a.metrics.recursiveCalls == b.metrics.recursiveCalls)
   }
 
   test("config labels distinguish baselines, RMCE, and variants") {

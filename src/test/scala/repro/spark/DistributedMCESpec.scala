@@ -6,9 +6,11 @@ import repro.core._
 import repro.graph.CsrGraph
 
 /** Differential tests: the distributed task farm must produce exactly the
-  * clique multiset of the driver-local reference run (same ids, same
-  * hashing), for every recursion and reduction setting, and must agree with
-  * brute force on materialised cliques.
+  * clique multiset of a local `Rmce.run` over the same edges, for every
+  * recursion and reduction setting, and must agree with brute force on
+  * materialised cliques. Checksums are comparable because `CountingSink`
+  * hashes `id.toLong` and the farm hashes the original ids of its compacted
+  * graph; for ids above `Int.MaxValue` both sides hash through one id table.
   */
 class DistributedMCESpec extends SparkSpec {
 
@@ -33,40 +35,56 @@ class DistributedMCESpec extends SparkSpec {
     RmceConfig.rmce(RecursionKind.Facen),
     RmceConfig.rmce(RecursionKind.Revised))
 
-  private def checkDistVsLocal(edges: Seq[(Int, Int)], label: String): Unit =
-    checkDistVsLocal(df(edges), label)
+  private def assertSame(label: String, cfg: RmceConfig, d: DistributedMCE.Result,
+                         count: Long, checksum: Long): Unit = {
+    assert(d.cliqueCount == count, s"$label/${cfg.label}: count ${d.cliqueCount} != $count")
+    assert(d.checksum == checksum, s"$label/${cfg.label}: checksum mismatch")
+  }
 
-  /** Returns the distributed results, one per config. */
-  private def checkDistVsLocal(e: DataFrame, label: String): Seq[DistributedMCE.Result] =
-    mainConfigs.map { cfg =>
-      val d = DistributedMCE.run(spark, e, cfg, numTasks = 7)
-      val l = DistributedMCE.runLocal(spark, e, cfg)
-      assert(d.cliqueCount == l.cliqueCount,
-        s"$label/${cfg.label}: count ${d.cliqueCount} != local ${l.cliqueCount}")
-      assert(d.checksum == l.checksum, s"$label/${cfg.label}: checksum mismatch")
-      d
+  /** `DistributedMCE.run` against `Rmce.run` on the same Int edges, for every
+    * config: same clique count and checksum, and the same global-reduction
+    * counters (both sides run the same prepare).
+    */
+  private def checkDistVsLocal(g: CsrGraph, label: String): Unit =
+    mainConfigs.foreach { cfg =>
+      val d = DistributedMCE.run(spark, df(g.edges.toSeq), cfg, numTasks = 7)
+      val sink = new CountingSink
+      val local = Rmce.run(g, cfg, sink)
+      assertSame(label, cfg, d, sink.count, sink.checksum)
+      assert(d.metrics.preReportedGlobal == local.preReportedGlobal &&
+        d.metrics.globalDeletedVertices == local.globalDeletedVertices &&
+        d.metrics.globalDeletedEdges == local.globalDeletedEdges,
+        s"$label/${cfg.label}: global-reduction counters differ")
     }
 
   test("distributed equals local on mixed-regime graphs") {
-    for (seed <- 1 to 3) {
-      val g = TestGraphs.mixed(seed)
-      checkDistVsLocal(g.edges.toSeq, s"mixed-$seed")
-    }
+    for (seed <- 1 to 3) checkDistVsLocal(TestGraphs.mixed(seed), s"mixed-$seed")
+
+    // Ids above Int.MaxValue: the local run and brute force hash through the
+    // same id table as the farm.
     val g = TestGraphs.mixed(1)
-    checkDistVsLocal(dfLong(g.edges.toSeq.map(e => (shifted(e._1), shifted(e._2)))), "mixed-1-shifted")
-    checkDistVsLocal(dfLong(Seq.empty), "empty").foreach { d =>
-      assert(d.cliqueCount == 0 && d.checksum == 0, "empty: cliques reported")
+    val wide = dfLong(g.edges.toSeq.map(e => (shifted(e._1), shifted(e._2))))
+    val table = Array.tabulate(g.n)(shifted)
+    val brute = BruteForce.maximalCliques(g).toSeq.map(_.toArray)
+    val bruteChecksum = brute.map(c => CliqueSink.cliqueHash(c, c.length, table)).sum
+    mainConfigs.foreach { cfg =>
+      val d = DistributedMCE.run(spark, wide, cfg, numTasks = 7)
+      val sink = new LongCountingSink(table)
+      Rmce.run(g, cfg, sink)
+      assertSame("mixed-1-shifted", cfg, d, sink.count, sink.checksum)
+      assertSame("mixed-1-shifted vs brute force", cfg, d, brute.size.toLong, bruteChecksum)
     }
+
+    // Rmce.run reports nothing on an empty graph (RmcePerConfigSpec).
+    checkDistVsLocal(CsrGraph.fromEdges(0, Seq.empty), "empty")
   }
 
   test("distributed equals local on a clique-union graph") {
-    val g = repro.gen.GraphGen.cliqueUnion(80, 40, 3, 6, 0.3, 5)
-    checkDistVsLocal(g.edges.toSeq, "cliqueUnion")
+    checkDistVsLocal(repro.gen.GraphGen.cliqueUnion(80, 40, 3, 6, 0.3, 5).toCsr, "cliqueUnion")
   }
 
   test("distributed equals local on a power-law graph") {
-    val g = repro.gen.GraphGen.powerLawCluster(120, 3, 0.5, 9)
-    checkDistVsLocal(g.edges.toSeq, "powerLaw")
+    checkDistVsLocal(repro.gen.GraphGen.powerLawCluster(120, 3, 0.5, 9).toCsr, "powerLaw")
   }
 
   test("materialised cliques equal brute force (all configs)") {
@@ -92,7 +110,7 @@ class DistributedMCESpec extends SparkSpec {
     val cfg = RmceConfig.rmce(RecursionKind.Degen)
     val d = DistributedMCE.run(spark, df(g.edges.toSeq), cfg)
     assert(d.reducedN == 0)
-    assert(d.preReportedGlobal == g.edges.length.toLong)
+    assert(d.metrics.preReportedGlobal == g.edges.length.toLong)
     assert(d.cliqueCount == g.edges.length.toLong)
     assert(d.metrics.recursiveCalls == 0)
   }
