@@ -1,17 +1,17 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.harness.Reports
 
 /** Table 2 — graph statistics of the 18 stand-ins, printed next to the
-  * paper's values. Statistics come from the Spark DataFrame ops; λ from the
-  * core decomposition. The stand-ins are 10²–10³× smaller; what must match
+  * paper's values. n, m and d_max are read off each stand-in's CSR, λ from
+  * its core decomposition. The stand-ins are 10²–10³× smaller; what must match
   * is the *regime* (see DESIGN.md), which the assertions pin down.
   */
-class Table2GraphStatsBench extends SparkSpec {
+class Table2GraphStatsBench extends AnyFunSuite {
 
   test("Table 2: graph statistics (measured vs paper)") {
-    val (text, rows) = Reports.table2(spark)
+    val (text, rows) = Reports.table2()
     println("\n=== Table 2: Graph statistics ===")
     println(text)
 

@@ -48,11 +48,13 @@ import repro.graph.CsrGraph
   * The reduced graph keeps the original vertex-id space: deleted vertices
   * simply become isolated (the enumeration root loop skips degree-0
   * vertices, consistent with the paper's ≥2-vertex clique convention). It
-  * is the input graph itself when nothing was deleted.
+  * is the input graph itself when nothing was deleted. The deletion counts
+  * go to `metrics` (`globalDeletedVertices`, `globalDeletedEdges`), the one
+  * record of a run's counters.
   */
 object GlobalReduction {
 
-  final case class Result(reduced: CsrGraph, deletedVertices: Int, deletedEdges: Long)
+  final case class Result(reduced: CsrGraph)
 
   def apply(g: CsrGraph, sink: CliqueSink, metrics: Metrics): Result = {
     val n = g.n
@@ -247,7 +249,7 @@ object GlobalReduction {
     val reduced = if (deletedEdges == 0) g else g.withoutSlots(removedSlot)
     metrics.globalDeletedVertices += deletedVertices
     metrics.globalDeletedEdges += deletedEdges
-    Result(reduced, deletedVertices, deletedEdges)
+    Result(reduced)
   }
 
   /** `rev(p)`: the slot of edge `p` in its other endpoint's row. Visiting

@@ -14,13 +14,9 @@ object Rmce {
   /** Enumerate all maximal cliques of `g0`, reporting into `sink`. */
   def run(g0: CsrGraph, cfg: RmceConfig, sink: CliqueSink): Metrics = {
     val metrics = new Metrics(g0.n)
-    run(g0, cfg, sink, metrics)
-    metrics
-  }
-
-  def run(g0: CsrGraph, cfg: RmceConfig, sink: CliqueSink, metrics: Metrics): Unit = {
     val prepared = prepare(g0, cfg, sink, metrics)
     runRoots(prepared, 0 until prepared.graph.n, cfg, sink, metrics)
+    metrics
   }
 
   /** The graph after (optional) global reduction, relabelled so vertex ids

@@ -2,7 +2,6 @@ package repro.harness
 
 import java.lang.management.ManagementFactory
 import repro.core._
-import repro.gen.Datasets
 import repro.graph.CsrGraph
 
 /** Timing/metrics harness shared by the bench suites and the spark-submit
@@ -16,13 +15,16 @@ import repro.graph.CsrGraph
   */
 object BenchRunner {
 
-  /** One configuration's timing on one graph; every counter of the run is
-    * in `metrics`.
+  /** One configuration's timing on one graph: the median run time and the
+    * lower/upper quartile (`q1Ms`, `q3Ms`) of its repetitions. Every counter
+    * of the run is in `metrics`.
     */
   final case class RunStats(
       dataset: String,
       algo: String,
       timeMs: Double,
+      q1Ms: Double,
+      q3Ms: Double,
       cliques: Long,
       checksum: Long,
       metrics: Metrics)
@@ -33,10 +35,11 @@ object BenchRunner {
     * driver-local). Each config runs once untimed, then `reps` rounds run
     * every config once each, so a slow host phase lands on all of them.
     * A run is timed by the calling thread's CPU time; each config gets its
-    * median. All configs must report the same clique set.
+    * median and quartiles (nearest rank, so `reps < 4` gives the extremes).
+    * All configs must report the same clique set.
     */
   def timeLocal(dataset: String, g: CsrGraph, cfgs: Seq[RmceConfig],
-                reps: Int = 3): Seq[RunStats] = {
+                reps: Int): Seq[RunStats] = {
     require(cfgs.nonEmpty && reps > 0)
     cfgs.foreach(Rmce.run(g, _, new CountingSink))
     val times = Array.fill(cfgs.size)(new Array[Double](reps))
@@ -49,16 +52,16 @@ object BenchRunner {
       last(c) = (sink, metrics)
     }
     val stats = cfgs.indices.map { c =>
-      java.util.Arrays.sort(times(c))
+      val t = times(c)
+      java.util.Arrays.sort(t)
       val (sink, metrics) = last(c)
-      RunStats(dataset, cfgs(c).label, times(c)(reps / 2), sink.count, sink.checksum, metrics)
+      RunStats(dataset, cfgs(c).label, t(reps / 2), t(reps / 4), t(reps - 1 - reps / 4),
+        sink.count, sink.checksum, metrics)
     }
     require(stats.map(s => (s.cliques, s.checksum)).distinct.size == 1,
       s"$dataset: ${cfgs.map(_.label).mkString(", ")} disagree on the clique set")
     stats
   }
-
-  def dataset(abbr: String): CsrGraph = Datasets.byAbbr(abbr).csr
 
   /** Fixed-width table printer (monospace logs). */
   def formatTable(header: Seq[String], rows: Seq[Seq[String]]): String = {
@@ -71,6 +74,5 @@ object BenchRunner {
 
   def f1(x: Double): String = f"$x%.1f"
   def f2(x: Double): String = f"$x%.2f"
-  def f3(x: Double): String = f"$x%.3f"
   def pct(x: Double): String = f"${100 * x}%.1f%%"
 }

@@ -4,14 +4,14 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.gen.Datasets
 import repro.graph.{CsrGraph, Degeneracy}
-import repro.spark.{DistributedMCE, GraphOps}
+import repro.spark.DistributedMCE
 import scala.collection.mutable
 
 /** Builders for every evaluation artefact (Tables 2–3 and Figures 7–11 as
   * printed tables). Each returns the formatted table plus structured rows,
   * so bench suites can assert on the data and jobs can print the text.
-  * Timings are local-kernel medians (see [[BenchRunner]]); the distributed
-  * path is reported separately by [[distributed]].
+  * Timings are local-kernel medians with quartiles (see [[BenchRunner]]);
+  * the distributed path is reported separately by [[distributed]].
   */
 object Reports {
   import BenchRunner._
@@ -22,22 +22,27 @@ object Reports {
 
   private val allAbbrs: Seq[String] = Datasets.all.map(_.abbr)
 
+  /** A timing cell, `median [q1, q3]` in ms, so rows whose spreads overlap
+    * are visible as such.
+    */
+  private def spread(s: RunStats): String = s"${f1(s.timeMs)} [${f1(s.q1Ms)}, ${f1(s.q3Ms)}]"
+
   // -------------------------------------------------------------------
   // Table 2: graph statistics.
   // -------------------------------------------------------------------
-  final case class Table2Row(abbr: String, name: String, n: Long, m: Long,
-                             dmax: Long, lambda: Int,
+  final case class Table2Row(abbr: String, name: String, n: Int, m: Long,
+                             dmax: Int, lambda: Int,
                              paperN: Long, paperM: Long, paperDmax: Int, paperLambda: Int)
 
-  /** Graph statistics via the Spark DataFrame ops (n, m, d_max) and the
-    * distributed-verified local peel (λ).
+  /** Graph statistics read off each stand-in's CSR: n, m, d_max, and λ from
+    * the core decomposition. A stand-in has no isolated vertex and no
+    * duplicate edge (`DatasetsSpec`), so n and m are those of its canonical
+    * edge table.
     */
-  def table2(spark: SparkSession): (String, Seq[Table2Row]) = {
+  def table2(): (String, Seq[Table2Row]) = {
     val rows = Datasets.all.map { d =>
-      val edges = Datasets.edgesDF(spark, d.abbr)
-      val (n, m, dmax) = GraphOps.basicStats(edges)
-      val lambda = Degeneracy.degeneracy(csr(d.abbr))
-      Table2Row(d.abbr, d.name, n, m, dmax, lambda,
+      val g = csr(d.abbr)
+      Table2Row(d.abbr, d.name, g.n, g.m, g.maxDegree, Degeneracy.degeneracy(g),
         d.paperVertices, d.paperEdges, d.paperDmax, d.paperLambda)
     }
     val text = formatTable(
@@ -67,23 +72,23 @@ object Reports {
     "st" -> (391.48, 405.62, 478.73, 415.12), "wg" -> (2.55, 2.57, 3.00, 2.69),
     "ws" -> (1.51, 1.52, 2.08, 1.53), "wt" -> (76.68, 75.63, 90.74, 80.63))
 
-  def table3(reps: Int = 3): (String, Seq[AblationRow]) = {
+  def table3(reps: Int): (String, Seq[AblationRow]) = {
     val k = RecursionKind.Degen
     val cfgs = Seq(RmceConfig.rmce(k), RmceConfig.variant1(k), RmceConfig.variant2(k),
       RmceConfig.variant3(k))
-    val rows = allAbbrs.map { abbr =>
-      val Seq(full, v1, v2, v3) = timeLocal(abbr, csr(abbr), cfgs, reps)
+    val built = allAbbrs.map { abbr =>
+      val stats @ Seq(full, v1, v2, v3) = timeLocal(abbr, csr(abbr), cfgs, reps)
       val p = paperTable3(abbr)
-      AblationRow(abbr, full.timeMs, v1.timeMs, v2.timeMs, v3.timeMs, full.cliques,
+      val row = AblationRow(abbr, full.timeMs, v1.timeMs, v2.timeMs, v3.timeMs, full.cliques,
         p._1, p._2, p._3, p._4)
+      (row, Seq(abbr) ++ stats.map(spread) ++ Seq(full.cliques.toString) ++
+        Seq(p._1, p._2, p._3, p._4).map(f2))
     }
     val text = formatTable(
-      Seq("abbr", "RMCEdegen", "Variant1", "Variant2", "Variant3", "cliques",
+      Seq("abbr", "RMCEdegen (ms)", "Variant1 (ms)", "Variant2 (ms)", "Variant3 (ms)", "cliques",
         "paper(s): full", "V1", "V2", "V3"),
-      rows.map(r => Seq(r.abbr, f1(r.tFull) + "ms", f1(r.tV1) + "ms", f1(r.tV2) + "ms",
-        f1(r.tV3) + "ms", r.cliques.toString,
-        r.paperFull.toString, r.paperV1.toString, r.paperV2.toString, r.paperV3.toString)))
-    (text, rows)
+      built.map(_._2))
+    (text, built.map(_._1))
   }
 
   // -------------------------------------------------------------------
@@ -93,22 +98,22 @@ object Reports {
                               tRmce: Double, speedup: Double, cliques: Long,
                               baseCalls: Long, rmceCalls: Long)
 
-  def fig7(reps: Int = 3,
-           recursions: Seq[RecursionKind] = RecursionKind.all): (String, Seq[SpeedupRow]) = {
-    val cfgs = recursions.flatMap(k => Seq(RmceConfig.baseline(k), RmceConfig.rmce(k)))
-    val rows = allAbbrs.flatMap { abbr =>
+  def fig7(reps: Int): (String, Seq[SpeedupRow]) = {
+    val cfgs = RecursionKind.all.flatMap(k => Seq(RmceConfig.baseline(k), RmceConfig.rmce(k)))
+    val built = allAbbrs.flatMap { abbr =>
       val stats = timeLocal(abbr, csr(abbr), cfgs, reps)
-      recursions.zipWithIndex.map { case (k, i) =>
+      RecursionKind.all.zipWithIndex.map { case (k, i) =>
         val (base, rmce) = (stats(2 * i), stats(2 * i + 1))
-        SpeedupRow(abbr, k.name, base.timeMs, rmce.timeMs, base.timeMs / rmce.timeMs,
+        val row = SpeedupRow(abbr, k.name, base.timeMs, rmce.timeMs, base.timeMs / rmce.timeMs,
           base.cliques, base.metrics.recursiveCalls, rmce.metrics.recursiveCalls)
+        (row, Seq(abbr, k.name, spread(base), spread(rmce), f2(row.speedup) + "x",
+          row.cliques.toString))
       }
     }
     val text = formatTable(
       Seq("abbr", "recursion", "BK (ms)", "RMCE (ms)", "speedup", "cliques"),
-      rows.map(r => Seq(r.abbr, r.recursion, f1(r.tBase), f1(r.tRmce),
-        f2(r.speedup) + "x", r.cliques.toString)))
-    (text, rows)
+      built.map(_._2))
+    (text, built.map(_._1))
   }
 
   // -------------------------------------------------------------------
@@ -121,10 +126,11 @@ object Reports {
     val rows = allAbbrs.map { abbr =>
       val g = csr(abbr)
       val sink = new CountingSink
-      val res = GlobalReduction(g, sink, new Metrics(g.n))
+      val metrics = new Metrics(g.n)
+      GlobalReduction(g, sink, metrics)
       ReductionRow(abbr, g.n, g.m,
-        res.deletedVertices.toDouble / g.n,
-        res.deletedEdges.toDouble / g.m,
+        metrics.globalDeletedVertices.toDouble / g.n,
+        metrics.globalDeletedEdges.toDouble / g.m,
         sink.count)
     }
     val text = formatTable(
@@ -140,10 +146,10 @@ object Reports {
   final case class CallsRow(abbr: String, recursion: String,
                             baseCalls: Long, rmceCalls: Long, ratio: Double)
 
-  def fig9(recursions: Seq[RecursionKind] = RecursionKind.all): (String, Seq[CallsRow]) = {
+  def fig9(): (String, Seq[CallsRow]) = {
     val rows = for {
       abbr <- allAbbrs
-      k <- recursions
+      k <- RecursionKind.all
     } yield {
       val g = csr(abbr)
       val base = Rmce.run(g, RmceConfig.baseline(k), new CountingSink).recursiveCalls
@@ -189,9 +195,9 @@ object Reports {
                              visitsBk: Long, visitsRcd: Long, visitsRmce: Long,
                              reductionVsBk: Double)
 
-  def fig11(abbrs: Seq[String] = Datasets.fig11Abbrs,
-            degreesPerGraph: Int = 6): (String, Seq[VisitsRow]) = {
-    val rows = abbrs.flatMap { abbr =>
+  def fig11(): (String, Seq[VisitsRow]) = {
+    val degreesPerGraph = 6
+    val rows = Datasets.fig11Abbrs.flatMap { abbr =>
       val g = csr(abbr)
       val degOf = Array.tabulate(g.n)(g.degree)
       // Cliques-per-degree: each maximal clique counts once per member.

@@ -30,9 +30,10 @@ object DistributedReduction {
       override def report(vertices: Array[Int], len: Int): Unit =
         cliques += Array.tabulate(len)(i => toLong(vertices(i)))
     }
-    val r = GlobalReduction(g, sink, new Metrics(g.n))
+    val metrics = new Metrics(g.n)
+    val r = GlobalReduction(g, sink, metrics)
     import spark.implicits._
     val reduced = r.reduced.edges.toSeq.map { case (u, v) => (toLong(u), toLong(v)) }.toDF("src", "dst")
-    Result(reduced, cliques.toSeq, r.deletedVertices, r.deletedEdges)
+    Result(reduced, cliques.toSeq, metrics.globalDeletedVertices, metrics.globalDeletedEdges)
   }
 }

@@ -26,7 +26,7 @@ class GlobalReductionSpec extends AnyFunSuite {
     assert(rest.intersect(pre.toSet).isEmpty, s"$label: clique found on both sides")
     assert(rest ++ pre == BruteForce.maximalCliques(g), s"$label: union mismatch")
     assert(metrics.preReportedGlobal == pre.size)
-    assert(res.deletedEdges == g.m - res.reduced.m)
+    assert(metrics.globalDeletedEdges == g.m - res.reduced.m)
   }
 
   test("invariant on fixed graphs") {
@@ -58,18 +58,20 @@ class GlobalReductionSpec extends AnyFunSuite {
   test("2-D grid (road-network regime) is fully reduced") {
     val g = repro.gen.GraphGen.grid2d(12, 15).toCsr
     val sink = new CountingSink
-    val res = GlobalReduction(g, sink, new Metrics(g.n))
+    val metrics = new Metrics(g.n)
+    val res = GlobalReduction(g, sink, metrics)
     assert(res.reduced.m == 0, "triangle-free grid must lose every edge")
-    assert(res.deletedVertices == g.n)
+    assert(metrics.globalDeletedVertices == g.n)
     assert(sink.count == g.m, "every grid edge is a maximal 2-clique")
   }
 
   test("triangular torus (Delaunay regime) is untouched") {
     val g = repro.gen.GraphGen.triangularTorus(6, 8).toCsr
     val sink = new CountingSink
-    val res = GlobalReduction(g, sink, new Metrics(g.n))
+    val metrics = new Metrics(g.n)
+    val res = GlobalReduction(g, sink, metrics)
     assert(res.reduced.m == g.m, "6-regular torus with all edges in triangles must survive")
-    assert(res.deletedVertices == 0)
+    assert(metrics.globalDeletedVertices == 0)
     assert(sink.count == 0)
   }
 
@@ -116,13 +118,15 @@ class GlobalReductionSpec extends AnyFunSuite {
   /** The slot-indexed reduction against [[BinarySearchGlobalReduction]]. */
   private def sameAsReference(g: CsrGraph, label: String): Unit = {
     val sink = new CollectingSink
-    val res = GlobalReduction(g, sink, new Metrics(g.n))
+    val metrics = new Metrics(g.n)
+    val res = GlobalReduction(g, sink, metrics)
     val refSink = new CollectingSink
-    val (ref, dirtyDeletions) = BinarySearchGlobalReduction(g, refSink)
+    val refMetrics = new Metrics(g.n)
+    val (ref, dirtyDeletions) = BinarySearchGlobalReduction(g, refSink, refMetrics)
     assert(res.reduced.edges.toSet == ref.reduced.edges.toSet, s"$label: reduced edges")
     assert(res.reduced.n == g.n, s"$label: id space")
-    assert(res.deletedVertices == ref.deletedVertices, s"$label: deletedVertices")
-    assert(res.deletedEdges == ref.deletedEdges, s"$label: deletedEdges")
+    assert(metrics.globalDeletedVertices == refMetrics.globalDeletedVertices, s"$label: deleted vertices")
+    assert(metrics.globalDeletedEdges == refMetrics.globalDeletedEdges, s"$label: deleted edges")
     def multiset(c: Iterable[Set[Int]]) = c.groupBy(identity).map { case (k, v) => k -> v.size }
     assert(multiset(sink.cliques) == multiset(refSink.cliques), s"$label: pre-reported cliques")
     // GlobalReduction has no re-probe queue: Lemma 3 already deletes every
@@ -160,21 +164,23 @@ class GlobalReductionSpec extends AnyFunSuite {
 
   test("a graph the reduction cannot touch comes back as the same object") {
     for ((label, g) <- Seq("K40" -> complete(40), "torus" -> GraphGen.triangularTorus(6, 8).toCsr)) {
-      val res = GlobalReduction(g, new CountingSink, new Metrics(g.n))
+      val metrics = new Metrics(g.n)
+      val res = GlobalReduction(g, new CountingSink, metrics)
       assert(res.reduced eq g, s"$label was rebuilt")
-      assert(res.deletedEdges == 0 && res.deletedVertices == 0, label)
+      assert(metrics.globalDeletedEdges == 0 && metrics.globalDeletedVertices == 0, label)
     }
   }
 }
 
 /** The global reduction before slot indexing, as a reference for the
   * differential tests: liveness by binary search, boxed queues, a re-probe
-  * ("dirty") queue, and the reduced graph rebuilt from edge tuples. Also
-  * returns how many edges the re-probe deleted.
+  * ("dirty") queue, and the reduced graph rebuilt from edge tuples. Its
+  * counts go to `metrics` as the real one's do; it also returns how many
+  * edges the re-probe deleted.
   */
 private object BinarySearchGlobalReduction {
 
-  def apply(g: CsrGraph, sink: CliqueSink): (GlobalReduction.Result, Int) = {
+  def apply(g: CsrGraph, sink: CliqueSink, metrics: Metrics): (GlobalReduction.Result, Int) = {
     val n = g.n
     val adj = g.adj
     val off = g.offsets
@@ -444,6 +450,8 @@ private object BinarySearchGlobalReduction {
       v += 1
     }
     val reduced = CsrGraph.fromEdges(n, reducedEdges)
-    (GlobalReduction.Result(reduced, deletedVertices, g.m - reduced.m), dirtyDeletions)
+    metrics.globalDeletedVertices += deletedVertices
+    metrics.globalDeletedEdges += g.m - reduced.m
+    (GlobalReduction.Result(reduced), dirtyDeletions)
   }
 }

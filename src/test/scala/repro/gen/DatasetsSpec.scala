@@ -33,6 +33,17 @@ class DatasetsSpec extends AnyFunSuite {
     }
   }
 
+  test("every stand-in CSR has no isolated vertex and one edge per generated pair") {
+    // Table 2 reads n and m off the CSR; these two facts make them the vertex
+    // and edge counts of the stand-in's canonical edge table.
+    Datasets.all.foreach { d =>
+      val g = d.graph
+      val csr = g.toCsr
+      assert((0 until csr.n).forall(csr.degree(_) > 0), s"${d.abbr}: isolated vertex")
+      assert(csr.m == g.edges.length.toLong, s"${d.abbr}: duplicate generated edges")
+    }
+  }
+
   test("road stand-ins are triangle-free, low-degree (full-reduction regime)") {
     Seq("in", "rc").foreach { abbr =>
       val csr = Datasets.byAbbr(abbr).csr
