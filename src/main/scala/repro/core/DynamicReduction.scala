@@ -52,6 +52,7 @@ final class DynamicReduction(n: Int) {
   private val onlyNbr = new Array[Int](n)    // the single P-neighbour when degP==1
   private val markKnown = new Array[Int](n)  // stamp: mark memoised this call
   private val markVal = new Array[Boolean](n)
+  private val buf = new Array[Int](n + 2)    // a report: R (distinct labels) plus v, u
   private var gen = 0
 
   def apply(g: CsrGraph, r: IntStack, p: Array[Int], x: Array[Int],
@@ -101,7 +102,6 @@ final class DynamicReduction(n: Int) {
     // Pass 1: dynamic degree-0 (Lemma 5) and relaxed degree-1 (Lemma 7).
     var nDropped = 0
     if (anyLow) {
-      val buf = new Array[Int](r.size + 2)
       i = 0
       while (i < p.length) {
         val v = p(i)

@@ -42,6 +42,7 @@ final class ForbiddenSetReduction(n: Int) {
   private val ignoreId: Array[Int] = Array.fill(n)(n)
   private val domBy: Array[Int] = Array.fill(n)(-1)
   private val walkStamp: Array[Int] = new Array[Int](n)
+  private val keptX: Array[Int] = new Array[Int](n) // scratch: X vertices kept at this root
   private var gen = 0
 
   /** Is `x0` safely ignorable in the forbidden set of root `w`? */
@@ -66,20 +67,12 @@ final class ForbiddenSetReduction(n: Int) {
   def reduceAndUpdate(g: CsrGraph, i: Int, p: Array[Int], x: Array[Int]): Array[Int] = {
     var kept = 0
     var k = 0
-    while (k < x.length) { if (!prunable(x(k), i)) kept += 1; k += 1 }
-    val x1 =
-      if (kept == x.length) x
-      else {
-        val out = new Array[Int](kept)
-        var j = 0
-        k = 0
-        while (k < x.length) {
-          val u = x(k)
-          if (!prunable(u, i)) { out(j) = u; j += 1 }
-          k += 1
-        }
-        out
-      }
+    while (k < x.length) {
+      val u = x(k)
+      if (!prunable(u, i)) { keptX(kept) = u; kept += 1 }
+      k += 1
+    }
+    val x1 = if (kept == x.length) x else java.util.Arrays.copyOf(keptX, kept)
 
     // Rule 1 can hold only for u = p(0): N⁺(u) holds labels > u, so for
     // any later u it misses p(0). Rule 2 is tested only where it could take

@@ -6,11 +6,11 @@ import repro.core._
 import repro.graph.CsrGraph
 
 /** Differential tests: the distributed task farm must produce exactly the
-  * clique multiset of a local `Rmce.run` over the same edges, for every
-  * recursion and reduction setting, and must agree with brute force on
-  * materialised cliques. Checksums are comparable because `CountingSink`
-  * hashes `id.toLong` and the farm hashes the original ids of its compacted
-  * graph; for ids above `Int.MaxValue` both sides hash through one id table.
+  * clique multiset of a local `Rmce.run` and of brute force over the same
+  * edges, for every recursion and reduction setting. Checksums are
+  * comparable because `CountingSink` hashes `id.toLong` and the farm hashes
+  * the original ids of its compacted graph; for ids above `Int.MaxValue`
+  * every side hashes through one id table.
   */
 class DistributedMCESpec extends SparkSpec {
 
@@ -41,21 +41,32 @@ class DistributedMCESpec extends SparkSpec {
     assert(d.checksum == checksum, s"$label/${cfg.label}: checksum mismatch")
   }
 
-  /** `DistributedMCE.run` against `Rmce.run` on the same Int edges, for every
-    * config: same clique count and checksum, and the same global-reduction
-    * counters (both sides run the same prepare).
+  /** Brute force's clique count and checksum with vertex `v` hashed as
+    * `toLong(v)`; over `v.toLong` this is the `CountingSink` checksum.
     */
-  private def checkDistVsLocal(g: CsrGraph, label: String): Unit =
+  private def bruteCountAndChecksum(g: CsrGraph, toLong: Array[Long]): (Long, Long) = {
+    val cliques = BruteForce.maximalCliques(g).toSeq.map(_.toArray)
+    (cliques.size.toLong, cliques.map(c => CliqueSink.cliqueHash(c, c.length, toLong)).sum)
+  }
+
+  /** `DistributedMCE.run` against `Rmce.run` and brute force on the same Int
+    * edges, for every config: same clique count and checksum, and the same
+    * global-reduction counters as `Rmce.run` (both run the same prepare).
+    */
+  private def checkDistVsLocal(g: CsrGraph, label: String): Unit = {
+    val (bruteCount, bruteChecksum) = bruteCountAndChecksum(g, Array.tabulate(g.n)(_.toLong))
     mainConfigs.foreach { cfg =>
       val d = DistributedMCE.run(spark, df(g.edges.toSeq), cfg, numTasks = 7)
       val sink = new CountingSink
       val local = Rmce.run(g, cfg, sink)
       assertSame(label, cfg, d, sink.count, sink.checksum)
+      assertSame(s"$label vs brute force", cfg, d, bruteCount, bruteChecksum)
       assert(d.metrics.preReportedGlobal == local.preReportedGlobal &&
         d.metrics.globalDeletedVertices == local.globalDeletedVertices &&
         d.metrics.globalDeletedEdges == local.globalDeletedEdges,
         s"$label/${cfg.label}: global-reduction counters differ")
     }
+  }
 
   test("distributed equals local on mixed-regime graphs") {
     for (seed <- 1 to 3) checkDistVsLocal(TestGraphs.mixed(seed), s"mixed-$seed")
@@ -65,14 +76,13 @@ class DistributedMCESpec extends SparkSpec {
     val g = TestGraphs.mixed(1)
     val wide = dfLong(g.edges.toSeq.map(e => (shifted(e._1), shifted(e._2))))
     val table = Array.tabulate(g.n)(shifted)
-    val brute = BruteForce.maximalCliques(g).toSeq.map(_.toArray)
-    val bruteChecksum = brute.map(c => CliqueSink.cliqueHash(c, c.length, table)).sum
+    val (bruteCount, bruteChecksum) = bruteCountAndChecksum(g, table)
     mainConfigs.foreach { cfg =>
       val d = DistributedMCE.run(spark, wide, cfg, numTasks = 7)
       val sink = new LongCountingSink(table)
       Rmce.run(g, cfg, sink)
       assertSame("mixed-1-shifted", cfg, d, sink.count, sink.checksum)
-      assertSame("mixed-1-shifted vs brute force", cfg, d, brute.size.toLong, bruteChecksum)
+      assertSame("mixed-1-shifted vs brute force", cfg, d, bruteCount, bruteChecksum)
     }
 
     // Rmce.run reports nothing on an empty graph (RmcePerConfigSpec).
@@ -88,21 +98,9 @@ class DistributedMCESpec extends SparkSpec {
   }
 
   test("materialised cliques equal brute force (all configs)") {
-    val g = TestGraphs.mixed(4)
-    val expected = BruteForce.maximalCliques(g)
-      .map(_.toSeq.map(_.toLong).sorted.mkString(","))
-    mainConfigs.foreach { cfg =>
-      val got = DistributedMCE.cliques(spark, df(g.edges.toSeq), cfg, numTasks = 5)
-        .collect().map(_.getString(0)).toSeq
-      assert(got.size == got.toSet.size, s"${cfg.label}: duplicates")
-      assert(got.toSet == expected, s"${cfg.label}: clique set mismatch")
-    }
-    val wide = DistributedMCE.cliques(spark,
-      dfLong(g.edges.toSeq.map(e => (shifted(e._1), shifted(e._2)))),
-      RmceConfig.rmce(RecursionKind.Degen), numTasks = 5).collect().map(_.getString(0)).toSeq
-    assert(wide.size == expected.size, "shifted ids: clique count mismatch")
-    assert(wide.map(_.split(",").map(id => ((id.toLong - 7) >> 33).toInt).toSet).toSet ==
-      BruteForce.maximalCliques(g), "shifted ids: clique set mismatch")
+    // The farm's clique count and checksum against brute force's materialised
+    // clique set (checkDistVsLocal), for every config, on mixed seed 4.
+    checkDistVsLocal(TestGraphs.mixed(4), "mixed-4")
   }
 
   test("fully-reducible graph (grid): everything pre-reported, zero roots") {

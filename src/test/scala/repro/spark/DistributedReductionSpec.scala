@@ -1,77 +1,81 @@
 package repro.spark
 
-import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.core.BruteForce
+import repro.core.{BruteForce, CollectingSink, GlobalReduction, Metrics, TestGraphs}
 import repro.graph.CsrGraph
 
-/** The distributed global reduction must satisfy the same invariant as the
-  * local one: `mc(G) = mc(G′) + α`, with every pre-report maximal in `G`
-  * and no duplicates.
+/** The DataFrame wrapper's one job: collect the edge table, reduce it with
+  * the local [[repro.core.GlobalReduction]] and return the reduced edges in
+  * the original ids. Its reduced edges must equal the local reduction's,
+  * and together with the local reduction's pre-reports they must satisfy
+  * the invariant `mc(G) = mc(G′) + α(ΔV, ΔE)`.
   */
 class DistributedReductionSpec extends SparkSpec {
 
-  private def df(edges: Seq[(Int, Int)]): DataFrame = {
+  /** Collected `reducedEdges` of `g`'s edges, with vertex `v` named
+    * `id(v)`, against the local reduction's edges mapped through `id`.
+    */
+  private def reducedEdges(g: CsrGraph, label: String, id: Int => Long = _.toLong): Seq[(Long, Long)] = {
     val s = spark
     import s.implicits._
-    edges.map(e => (e._1.toLong, e._2.toLong)).toDF("src", "dst")
+    val got = DistributedReduction(spark, g.edges.toSeq.map(e => (id(e._1), id(e._2))).toDF("src", "dst"))
+      .reducedEdges.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq.sorted
+    val local = GlobalReduction(g, new CollectingSink, new Metrics(g.n)).reduced.edges
+      .toSeq.map(e => (id(e._1), id(e._2))).sorted
+    assert(got == local, s"$label: reduced edges differ from the local reduction's")
+    got
   }
 
-  private def invariant(edges: Seq[(Int, Int)], n: Int, label: String): DistributedReduction.Result = {
-    val g = CsrGraph.fromEdges(n, edges)
-    val res = DistributedReduction(spark, df(edges))
-    val pre = res.cliques.map(_.map(_.toInt).toSet)
+  /** The invariant over the wrapper's reduced edges G′ and the local
+    * reduction's pre-reports α: no duplicate pre-reports, each maximal in
+    * G, none a maximal clique of G′, and together exactly mc(G). Returns
+    * the pre-reports, the local run's metrics and the reduced edges.
+    */
+  private def invariant(g: CsrGraph, label: String): (Seq[Set[Int]], Metrics, Seq[(Long, Long)]) = {
+    val reduced = reducedEdges(g, label)
+    val sink = new CollectingSink
+    val metrics = new Metrics(g.n)
+    GlobalReduction(g, sink, metrics)
+    val pre = sink.cliques.toSeq
     assert(pre.size == pre.toSet.size, s"$label: duplicate pre-reports")
     pre.foreach(c => assert(BruteForce.isMaximalClique(g, c), s"$label: $c not maximal in G"))
-    val reducedPairs = res.reducedEdges.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-    val gReduced = CsrGraph.fromEdges(n, reducedPairs.toSeq)
+    val gReduced = CsrGraph.fromEdges(g.n, reduced.map(e => (e._1.toInt, e._2.toInt)))
     val rest = BruteForce.maximalCliques(gReduced)
     assert(rest.intersect(pre.toSet).isEmpty, s"$label: double-counted clique")
     assert(rest ++ pre == BruteForce.maximalCliques(g), s"$label: union mismatch")
-    res
+    (pre, metrics, reduced)
   }
 
   test("invariant on fixed graphs") {
-    invariant(Seq((0, 1), (1, 2), (2, 3), (3, 4)), 5, "path")
-    invariant(Seq((0, 1), (0, 2), (1, 2), (2, 3)), 4, "paw")
-    invariant(Seq((0, 1), (0, 2), (0, 3), (0, 4)), 5, "star")
-    invariant(for (i <- 0 until 5; j <- (i + 1) until 5) yield (i, j), 5, "k5")
-    invariant(Seq((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)), 4, "diamond")
-  }
-
-  test("invariant on random sparse graphs") {
-    for (seed <- 1 to 4) {
-      val g = repro.gen.GraphGen.erdosRenyi(30, 2.5, seed)
-      invariant(g.edges.toSeq, g.n, s"sparse-$seed")
-    }
+    invariant(TestGraphs.path5, "path")
+    invariant(TestGraphs.paw, "paw")
+    invariant(CsrGraph.fromEdges(5, Seq((0, 1), (0, 2), (0, 3), (0, 4))), "star")
+    invariant(TestGraphs.complete(5), "k5")
+    invariant(TestGraphs.diamond, "diamond")
   }
 
   test("invariant on mixed-regime graphs") {
-    for (seed <- 1 to 3) {
-      val g = repro.core.TestGraphs.mixed(seed)
-      invariant(g.edges.toSeq.map(e => (e._1, e._2)), g.n, s"mixed-$seed")
-    }
+    for (seed <- 1 to 3) invariant(TestGraphs.mixed(seed), s"mixed-$seed")
   }
 
   test("grid graph fully deleted (paper: inf-road-usa, roadNet-CA)") {
-    val g = repro.gen.GraphGen.grid2d(7, 9)
-    val res = invariant(g.edges.toSeq, g.n, "grid")
-    assert(res.reducedEdges.count() == 0)
-    assert(res.deletedVertices == g.n)
-    assert(res.cliques.size.toLong == g.edges.length)
+    val g = repro.gen.GraphGen.grid2d(7, 9).toCsr
+    val (pre, metrics, reduced) = invariant(g, "grid")
+    assert(reduced.isEmpty)
+    assert(metrics.globalDeletedVertices == g.n)
+    assert(pre.size.toLong == g.m)
   }
 
   test("triangular torus untouched (paper: sc-delaunay_n23)") {
-    val g = repro.gen.GraphGen.triangularTorus(5, 6)
-    val res = DistributedReduction(spark, df(g.edges.toSeq))
-    assert(res.deletedVertices == 0 && res.deletedEdges == 0)
-    assert(res.cliques.isEmpty)
+    val g = repro.gen.GraphGen.triangularTorus(5, 6).toCsr
+    val (pre, metrics, reduced) = invariant(g, "torus")
+    assert(reduced == g.edges.toSeq.map(e => (e._1.toLong, e._2.toLong)).sorted)
+    assert(metrics.globalDeletedVertices == 0 && metrics.globalDeletedEdges == 0)
+    assert(pre.isEmpty)
   }
 
-  test("deleted counts are consistent") {
-    val g = repro.core.TestGraphs.mixed(11)
-    val res = DistributedReduction(spark, df(g.edges.toSeq.map(e => (e._1, e._2))))
-    assert(res.deletedEdges == g.m - res.reducedEdges.count())
-    assert(res.deletedVertices >= 0 && res.deletedVertices <= g.n)
+  test("reducedEdges equal the local GlobalReduction's, in the original ids") {
+    // Ids above Int.MaxValue: only the id table tells them apart.
+    reducedEdges(TestGraphs.mixed(1), "mixed-1-shifted", id => id * (1L << 33) + 7)
   }
 }
