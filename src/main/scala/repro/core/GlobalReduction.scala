@@ -45,9 +45,9 @@ import repro.graph.CsrGraph
   * lookup left, by binary search in the shorter row), so the fix-point needs
   * no re-probe queue.
   *
-  * The reduced graph keeps the original vertex-id space: deleted vertices
-  * simply become isolated (the enumeration root loop skips degree-0
-  * vertices, consistent with the paper's ≥2-vertex clique convention). It
+  * The reduced graph keeps the input's vertex ids, so its edges compare
+  * directly with the input's: a deleted vertex stays as a degree-0 vertex,
+  * and `Rmce.prepare` leaves those out of the graph it hands the search. It
   * is the input graph itself when nothing was deleted. The deletion counts
   * go to `metrics` (`globalDeletedVertices`, `globalDeletedEdges`), the one
   * record of a run's counters.

@@ -19,24 +19,32 @@ object Rmce {
     metrics
   }
 
-  /** The graph after (optional) global reduction, relabelled so vertex ids
-    * follow the degeneracy order; `toOrig(label)` maps back to `g0` ids.
+  /** The graph after (optional) global reduction, restricted to the
+    * vertices that still have an edge and relabelled so vertex ids follow
+    * the degeneracy order; `toOrig(label)` maps back to `g0` ids. Every
+    * vertex of `graph` has degree > 0, so every label is a root.
     */
   final case class Prepared(graph: CsrGraph, toOrig: Array[Int], degeneracy: Int)
 
   /** Global reduction + ordering; split out so the distributed driver can
-    * broadcast the result and farm `runRoots` out per partition.
+    * broadcast the result and farm `runRoots` out per partition. The peel
+    * takes the degree-0 vertices first, so the search's order is the rest.
     */
   def prepare(g0: CsrGraph, cfg: RmceConfig, sink: CliqueSink, metrics: Metrics): Prepared = {
     val g1 = if (cfg.globalReduction) GlobalReduction(g0, sink, metrics).reduced else g0
     val decomp = Degeneracy.decompose(g1)
-    Prepared(g1.relabelled(decomp.order), decomp.order, decomp.degeneracy)
+    val all = decomp.order
+    var isolated = 0
+    while (isolated < all.length && g1.degree(all(isolated)) == 0) isolated += 1
+    val order = if (isolated == 0) all else java.util.Arrays.copyOfRange(all, isolated, all.length)
+    Prepared(g1.relabelled(order), order, decomp.degeneracy)
   }
 
-  /** Run a subset of root subproblems (labels in degeneracy order). Safe to
-    * call with any subset in any order — reductions' shared state is scoped
-    * per call (see [[ForbiddenSetReduction]] on why sharing across an
-    * arbitrary root subset stays sound).
+  /** Run a subset of root subproblems (labels of `prepared.graph`, in
+    * degeneracy order). Safe to call with any subset in any order —
+    * reductions' shared state is scoped per call (see
+    * [[ForbiddenSetReduction]] on why sharing across an arbitrary root
+    * subset stays sound).
     */
   def runRoots(prepared: Prepared, roots: Iterable[Int], cfg: RmceConfig,
                sink: CliqueSink, metrics: Metrics): Unit =
@@ -92,25 +100,23 @@ private final class Engine(
 
   def runRoots(roots: Iterable[Int]): Unit = {
     roots.foreach { i =>
-      if (g.degree(i) > 0) {
-        val p = g.laterNeighbors(i)
-        var x = g.earlierNeighbors(i)
-        metrics.rootSubproblems += 1
-        metrics.forbiddenXTotal += x.length
-        if (cfg.maximalityReduction) {
-          val x1 = fsr.reduceAndUpdate(g, i, p, x)
-          if (x1.length < x.length) metrics.forbiddenReducedRoots += 1
-          x = x1
-        }
-        metrics.forbiddenXKept += x.length
-        r.clear()
-        r.push(i)
-        cfg.recursion match {
-          case RecursionKind.Degen   => recursePivot(p, x, revised = false)
-          case RecursionKind.Revised => recursePivot(p, x, revised = true)
-          case RecursionKind.Rcd     => recurseRcd(p, x)
-          case RecursionKind.Facen   => new FacenRoot(p, x).run()
-        }
+      val p = g.laterNeighbors(i)
+      var x = g.earlierNeighbors(i)
+      metrics.rootSubproblems += 1
+      metrics.forbiddenXTotal += x.length
+      if (cfg.maximalityReduction) {
+        val x1 = fsr.reduceAndUpdate(g, i, p, x)
+        if (x1.length < x.length) metrics.forbiddenReducedRoots += 1
+        x = x1
+      }
+      metrics.forbiddenXKept += x.length
+      r.clear()
+      r.push(i)
+      cfg.recursion match {
+        case RecursionKind.Degen   => recursePivot(p, x, revised = false)
+        case RecursionKind.Revised => recursePivot(p, x, revised = true)
+        case RecursionKind.Rcd     => recurseRcd(p, x)
+        case RecursionKind.Facen   => new FacenRoot(p, x).run()
       }
     }
   }

@@ -21,8 +21,9 @@ object Datasets {
       paperDmax: Int,
       paperLambda: Int,
       gen: () => GeneratedGraph) {
-    def graph: GeneratedGraph = gen()
-    def csr: repro.graph.CsrGraph = gen().toCsr
+    /** Generated once per spec; every reader shares it. */
+    lazy val graph: GeneratedGraph = gen()
+    def csr: repro.graph.CsrGraph = graph.toCsr
   }
 
   private def pl(n: Int, m: Int, closure: Double, p1: Int, p2: Int, seed: Long,

@@ -31,20 +31,6 @@ object GraphGen {
     GeneratedGraph(remap.size, set.iterator.map { case (a, b) => (remap(a), remap(b)) }.toArray)
   }
 
-  /** Erdős–Rényi G(n, m) with m ≈ n·avgDeg/2. */
-  def erdosRenyi(n: Int, avgDeg: Double, seed: Long): GeneratedGraph = {
-    val rnd = new Random(seed)
-    val target = math.max(1L, (n * avgDeg / 2).toLong)
-    val set = mutable.HashSet.empty[(Int, Int)]
-    var guard = 0L
-    while (set.size < target && guard < target * 20) {
-      val a = rnd.nextInt(n); val b = rnd.nextInt(n)
-      if (a != b) set += (if (a < b) (a, b) else (b, a))
-      guard += 1
-    }
-    compact(set)
-  }
-
   /** Holme–Kim power-law graph: preferential attachment (`mAttach` edges per
     * arriving vertex) with probability-`closure` triad formation. `closure`
     * tunes clustering/degeneracy; `mAttach` tunes density. With probability
@@ -195,10 +181,4 @@ object GraphGen {
     }
     compact(edges)
   }
-
-  /** Overlay several graphs on a shared id space (vertex `v` of each input
-    * stays vertex `v`), then compact.
-    */
-  def overlay(gs: GeneratedGraph*): GeneratedGraph =
-    compact(gs.iterator.flatMap(_.edges).toArray[(Int, Int)])
 }

@@ -75,28 +75,34 @@ final class CsrGraph private (
 
   /** Graph with vertices renumbered so that old vertex `order(i)` becomes
     * new vertex `i`; used to bake a degeneracy order into vertex ids.
+    * `order` lists every vertex with an edge exactly once and may leave out
+    * isolated vertices, so the result has `order.length` vertices; a full
+    * permutation keeps them all.
     *
     * Transpose-scatter: visiting new ids in increasing order and appending
     * each to its neighbours' rows leaves every row sorted, so no row is
     * sorted and no edge list is built.
     */
   def relabelled(order: Array[Int]): CsrGraph = {
-    require(order.length == n, s"order has ${order.length} entries, graph has $n vertices")
+    val k = order.length
     val pos = new Array[Int](n)
     java.util.Arrays.fill(pos, -1)
-    val offs = new Array[Int](n + 1)
+    val offs = new Array[Int](k + 1)
     var i = 0
-    while (i < n) {
+    while (i < k) {
       val v = order(i)
-      require(v >= 0 && v < n && pos(v) < 0, s"order is not a permutation of 0 until $n")
+      require(v >= 0 && v < n && pos(v) < 0, s"order entry $i ($v) is a repeat or outside 0 until $n")
       pos(v) = i
       offs(i + 1) = offs(i) + degree(v)
       i += 1
     }
-    val fill = java.util.Arrays.copyOf(offs, n)
+    // With no repeats, the listed degrees cover every edge slot iff no
+    // vertex with an edge is left out.
+    require(offs(k) == adj.length, "order leaves out a vertex with edges")
+    val fill = java.util.Arrays.copyOf(offs, k)
     val out = new Array[Int](adj.length)
     i = 0
-    while (i < n) {
+    while (i < k) {
       val v = order(i)
       var j = offsets(v)
       val end = offsets(v + 1)
@@ -108,7 +114,7 @@ final class CsrGraph private (
       }
       i += 1
     }
-    new CsrGraph(n, offs, out)
+    new CsrGraph(k, offs, out)
   }
 
   /** The subgraph without the edges whose slots `dead` marks (`dead` is

@@ -8,6 +8,7 @@ object Degeneracy {
   /** Result of a peel: `order(i)` is the i-th vertex in degeneracy order,
     * `core(v)` is the core number of vertex `v`, and `degeneracy` is the
     * graph's degeneracy λ (the maximum core number, 0 for edgeless graphs).
+    * The degree-0 vertices form the prefix of `order`.
     */
   final case class Decomposition(order: Array[Int], core: Array[Int], degeneracy: Int)
 

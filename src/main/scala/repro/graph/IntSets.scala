@@ -23,12 +23,6 @@ object IntSets {
     false
   }
 
-  def contains(a: Array[Int], x: Int): Boolean = contains(a, 0, a.length, x)
-
-  /** Merge-intersection of two sorted arrays into a fresh array. */
-  def intersect(a: Array[Int], b: Array[Int]): Array[Int] =
-    intersect(a, 0, a.length, b, 0, b.length)
-
   /** Merge-intersection of sorted ranges `a[af,au)` and `b[bf,bu)`. */
   def intersect(a: Array[Int], af: Int, au: Int,
                 b: Array[Int], bf: Int, bu: Int): Array[Int] = {
@@ -56,19 +50,9 @@ object IntSets {
     k
   }
 
-  def intersectSize(a: Array[Int], b: Array[Int]): Int =
-    intersectSize(a, 0, a.length, b, 0, b.length)
-
-  /** Is sorted `a` (ignoring element `skip`) a subset of sorted range
-    * `b[bf,bu)`? Used by the Alg. 8 dominance checks, where the probed
+  /** Is sorted range `a[af,au)`, minus element `skip`, a subset of sorted
+    * range `b[bf,bu)`? Used by the Alg. 8 dominance checks, where the probed
     * vertex itself must be excluded from its own candidate set.
-    */
-  def subsetOfExcluding(a: Array[Int], skip: Int,
-                        b: Array[Int], bf: Int, bu: Int): Boolean =
-    subsetOfExcluding(a, 0, a.length, skip, b, bf, bu)
-
-  /** Range variant: is `a[af,au)` minus element `skip` a subset of
-    * `b[bf,bu)`? Both ranges must be sorted.
     */
   def subsetOfExcluding(a: Array[Int], af: Int, au: Int, skip: Int,
                         b: Array[Int], bf: Int, bu: Int): Boolean = {

@@ -37,9 +37,10 @@ final class LongCountingSink(toLong: Array[Long]) extends CliqueSink {
   */
 object DistributedMCE {
 
-  /** A run's clique count and checksum over the original ids, the vertices
-    * with edges left after global reduction, the degeneracy of that graph,
-    * and every counter of the run (driver-side prepare plus all tasks).
+  /** A run's clique count and checksum over the original ids, the vertex
+    * count of the prepared graph (the vertices with edges left after global
+    * reduction), the degeneracy of that graph, and every counter of the run
+    * (driver-side prepare plus all tasks).
     */
   final case class Result(
       cliqueCount: Long,
@@ -63,7 +64,8 @@ object DistributedMCE {
 
   /** Run the full distributed pipeline: collect, `Rmce.prepare` on the
     * driver, then one task per root group; task `t` of `tasks` takes the
-    * roots `t until n by tasks`.
+    * roots `t until n by tasks`, where `n` is the prepared graph's vertex
+    * count.
     */
   def run(spark: SparkSession, edgesDf: DataFrame, cfg: RmceConfig,
           numTasks: Int = 0): Result = {
@@ -75,11 +77,12 @@ object DistributedMCE {
     val tasks = math.max(1, if (numTasks > 0) numTasks else sc.defaultParallelism * TasksPerCore)
     val bc = sc.broadcast((prepared, toLong))
     val n = prepared.graph.n
+    val collectedN = g.n // visits are counted per collected id, through toOrig
     val (count, checksum, farmed) =
       sc.parallelize(0 until tasks, tasks).map { t =>
         val (prep, ids) = bc.value
         val sink = new LongCountingSink(ids)
-        val m = new Metrics(n)
+        val m = new Metrics(collectedN)
         Rmce.runRoots(prep, t until n by tasks, cfg, sink, m)
         (sink.count, sink.checksum, m)
       }.reduce { case ((c1, s1, m1), (c2, s2, m2)) => (c1 + c2, s1 + s2, m1.merge(m2)) }
@@ -87,7 +90,7 @@ object DistributedMCE {
     Result(
       cliqueCount = pre.count + count,
       checksum = pre.checksum + checksum,
-      reducedN = (0 until n).count(prepared.graph.degree(_) > 0),
+      reducedN = n,
       degeneracy = prepared.degeneracy,
       metrics = metrics)
   }

@@ -52,6 +52,39 @@ class RmceCorrectnessSpec extends AnyFunSuite {
     assert(mc.contains(Set(3, 9)))       // {u4,u10} — the pendant 2-clique
   }
 
+  test("prepare hands the search only the vertices that keep an edge, in degeneracy order") {
+    val cfg = RmceConfig.rmce(RecursionKind.Degen)
+    def prepare(g: CsrGraph): Rmce.Prepared = Rmce.prepare(g, cfg, new CountingSink, new Metrics(g.n))
+
+    // Grid: global reduction deletes every vertex and pre-reports every edge.
+    val grid = repro.gen.GraphGen.grid2d(12, 15).toCsr
+    val gridPrepared = prepare(grid)
+    assert(gridPrepared.graph.n == 0 && gridPrepared.toOrig.isEmpty)
+    val gridSink = new CountingSink
+    Rmce.run(grid, cfg, gridSink)
+    assert(gridSink.count == grid.m)
+
+    // Torus: nothing is deleted, so every vertex stays.
+    val torus = repro.gen.GraphGen.triangularTorus(6, 8).toCsr
+    val torusPrepared = prepare(torus)
+    assert(torusPrepared.graph.n == torus.n && torusPrepared.graph.m == torus.m)
+
+    for (seed <- 1 to 10) {
+      val g = mixed(seed)
+      val p = prepare(g)
+      val reduced = GlobalReduction(g, new CountingSink, new Metrics(g.n)).reduced
+      val withEdges = (0 until reduced.n).filter(reduced.degree(_) > 0).toSet
+      assert((0 until p.graph.n).forall(p.graph.degree(_) > 0), s"mixed-$seed: a degree-0 vertex")
+      assert(p.toOrig.length == p.graph.n && p.toOrig.distinct.length == p.toOrig.length,
+        s"mixed-$seed: toOrig not injective")
+      assert(p.graph.n == withEdges.size, s"mixed-$seed: n' != vertices with edges in G'")
+      assert(p.toOrig.toSeq == repro.graph.Degeneracy.decompose(reduced).order.toSeq.filter(withEdges),
+        s"mixed-$seed: not the degeneracy order of G' restricted to vertices with edges")
+      assert(p.graph.edges.map { case (u, v) => Set(p.toOrig(u), p.toOrig(v)) }.toSet ==
+        reduced.edges.map { case (u, v) => Set(u, v) }.toSet, s"mixed-$seed: edges")
+    }
+  }
+
   test("all configs match brute force on sparse G(n,p)") {
     for (seed <- 1 to 8) check(gnp(18, 0.12, seed), s"gnp18-sparse-$seed")
   }

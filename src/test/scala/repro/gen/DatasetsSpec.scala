@@ -18,8 +18,9 @@ class DatasetsSpec extends AnyFunSuite {
 
   test("generators are deterministic") {
     Datasets.all.foreach { d =>
-      val a = d.graph
-      val b = d.graph
+      // Two fresh runs of the generator: `d.graph` is built once and cached.
+      val a = d.gen()
+      val b = d.gen()
       assert(a.n == b.n && a.edges.toSeq == b.edges.toSeq, s"${d.abbr} not deterministic")
     }
   }

@@ -12,16 +12,6 @@ class GraphGenSpec extends AnyFunSuite {
     assert(touched == (0 until g.n).toSet, "ids compact, no isolated vertices")
   }
 
-  test("erdosRenyi: well-formed, deterministic, near target size") {
-    val a = GraphGen.erdosRenyi(200, 6.0, 7)
-    val b = GraphGen.erdosRenyi(200, 6.0, 7)
-    wellFormed(a)
-    assert(a.edges.toSeq == b.edges.toSeq, "same seed ⇒ same graph")
-    assert(math.abs(a.edges.length - 600) < 60)
-    val c = GraphGen.erdosRenyi(200, 6.0, 8)
-    assert(a.edges.toSeq != c.edges.toSeq, "different seed ⇒ different graph")
-  }
-
   test("powerLawCluster: well-formed and deterministic") {
     val a = GraphGen.powerLawCluster(500, 4, 0.5, 11)
     val b = GraphGen.powerLawCluster(500, 4, 0.5, 11)
@@ -86,13 +76,6 @@ class GraphGenSpec extends AnyFunSuite {
     val d2 = (0 until csr.n).count(csr.degree(_) == 2)
     assert(d1 >= 30, s"expected ≥30 pendants, got $d1")
     assert(d2 >= 15, s"expected most degree-2 bridges, got $d2")
-  }
-
-  test("overlay merges shared-id graphs") {
-    val a = GraphGen.GeneratedGraph(3, Array((0, 1), (1, 2)))
-    val b = GraphGen.GeneratedGraph(3, Array((0, 2)))
-    val g = GraphGen.overlay(a, b)
-    assert(g.n == 3 && g.edges.length == 3)
   }
 
   test("compact drops self-loops, dedupes and renumbers") {

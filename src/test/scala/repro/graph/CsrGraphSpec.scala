@@ -62,27 +62,54 @@ class CsrGraphSpec extends AnyFunSuite {
       assert(h.split(v) - h.offsets(v) == row.count(_ < v), s"$label: split($v)")
     }
 
-  test("relabelled equals a tuple-rebuild oracle on random graphs and permutations") {
-    val rnd = new Random(17)
-    for (trial <- 0 until 40) {
+  /** `h.relabelled(order)` equals the graph rebuilt from `h`'s edge tuples
+    * with old id `order(i)` renamed to `i`.
+    */
+  private def assertMatchesOracle(h: CsrGraph, order: Array[Int], label: String): Unit = {
+    val pos = Array.fill(h.n)(-1)
+    for (i <- order.indices) pos(order(i)) = i
+    val oracle = CsrGraph.fromEdges(order.length, h.edges.map { case (u, v) => (pos(u), pos(v)) })
+    val r = h.relabelled(order)
+    wellFormed(r, label)
+    assert(r.n == order.length && r.m == h.m, s"$label: size")
+    assert(r.offsets.toSeq == oracle.offsets.toSeq, s"$label: offsets")
+    assert(r.adj.toSeq == oracle.adj.toSeq, s"$label: adj")
+    assert(r.split.toSeq == oracle.split.toSeq, s"$label: split")
+  }
+
+  /** 40 random graphs, each with about 30% of its vertices isolated. */
+  private def randomGraphs(rnd: Random): Seq[CsrGraph] =
+    for (_ <- 0 until 40) yield {
       val n = 1 + rnd.nextInt(60)
       val p = rnd.nextDouble() * 0.4
-      val edges = for (i <- 0 until n; j <- (i + 1) until n if rnd.nextDouble() < p) yield (i, j)
-      val h = CsrGraph.fromEdges(n, edges)
-      val order = rnd.shuffle((0 until n).toVector).toArray
-      val pos = new Array[Int](n)
-      for (i <- 0 until n) pos(order(i)) = i
-      val oracle = CsrGraph.fromEdges(n, h.edges.map { case (u, v) => (pos(u), pos(v)) })
-      val r = h.relabelled(order)
-      wellFormed(r, s"trial $trial")
-      assert(r.offsets.toSeq == oracle.offsets.toSeq, s"trial $trial: offsets")
-      assert(r.adj.toSeq == oracle.adj.toSeq, s"trial $trial: adj")
-      assert(r.split.toSeq == oracle.split.toSeq, s"trial $trial: split")
+      val isolated = (0 until n).filter(_ => rnd.nextDouble() < 0.3).toSet
+      val edges = for (i <- 0 until n; j <- (i + 1) until n
+                       if !isolated(i) && !isolated(j) && rnd.nextDouble() < p) yield (i, j)
+      CsrGraph.fromEdges(n, edges)
     }
+
+  test("relabelled equals a tuple-rebuild oracle on random graphs and permutations") {
+    val rnd = new Random(17)
+    for ((h, trial) <- randomGraphs(rnd).zipWithIndex)
+      assertMatchesOracle(h, rnd.shuffle((0 until h.n).toVector).toArray, s"trial $trial")
   }
 
   test("relabelled rejects an order that is not a permutation") {
     assertThrows[IllegalArgumentException](g.relabelled(Array(0, 1, 2, 2, 4)))
+  }
+
+  test("relabelled drops isolated vertices left out of the order, as a tuple rebuild of the induced graph") {
+    val rnd = new Random(23)
+    for ((h, trial) <- randomGraphs(rnd).zipWithIndex)
+      assertMatchesOracle(h, rnd.shuffle((0 until h.n).filter(h.degree(_) > 0).toVector).toArray,
+        s"trial $trial")
+  }
+
+  test("relabelled rejects an order that leaves out a vertex with edges or an id out of range") {
+    assert(g.relabelled(Array(3, 2, 1, 0)).n == 4) // vertex 4 is isolated
+    assertThrows[IllegalArgumentException](g.relabelled(Array(3, 2, 1)))
+    assertThrows[IllegalArgumentException](g.relabelled(Array(3, 2, 1, 0, 5)))
+    assertThrows[IllegalArgumentException](g.relabelled(Array(3, 2, 1, 0, -1)))
   }
 
   test("fromLongEdges compacts ids and returns the mapping") {

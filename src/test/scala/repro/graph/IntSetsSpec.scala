@@ -18,19 +18,21 @@ class IntSetsSpec extends AnyFunSuite {
 
   test("contains agrees with linear scan") {
     run(Prop.forAll(genSet, Gen.choose(0, 60)) { (a, x) =>
-      IntSets.contains(a, x) == a.contains(x)
+      IntSets.contains(a, 0, a.length, x) == a.contains(x)
     })
   }
 
   test("intersect agrees with Set intersection") {
     run(Prop.forAll(genSet, genSet) { (a, b) =>
-      IntSets.intersect(a, b).toSeq == (a.toSet intersect b.toSet).toSeq.sorted
+      IntSets.intersect(a, 0, a.length, b, 0, b.length).toSeq ==
+        (a.toSet intersect b.toSet).toSeq.sorted
     })
   }
 
   test("intersectSize agrees with intersect length") {
     run(Prop.forAll(genSet, genSet) { (a, b) =>
-      IntSets.intersectSize(a, b) == IntSets.intersect(a, b).length
+      IntSets.intersectSize(a, 0, a.length, b, 0, b.length) ==
+        IntSets.intersect(a, 0, a.length, b, 0, b.length).length
     })
   }
 
@@ -65,7 +67,7 @@ class IntSetsSpec extends AnyFunSuite {
 
   test("subsetOfExcluding: subset semantics with an excluded element") {
     run(Prop.forAll(genSet, genSet, Gen.choose(0, 60)) { (a, b, skip) =>
-      IntSets.subsetOfExcluding(a, skip, b, 0, b.length) ==
+      IntSets.subsetOfExcluding(a, 0, a.length, skip, b, 0, b.length) ==
         (a.toSet - skip).subsetOf(b.toSet)
     })
   }

@@ -51,7 +51,8 @@ class DistributedMCESpec extends SparkSpec {
 
   /** `DistributedMCE.run` against `Rmce.run` and brute force on the same Int
     * edges, for every config: same clique count and checksum, and the same
-    * global-reduction counters as `Rmce.run` (both run the same prepare).
+    * global-reduction counters and prepared vertex count as a local run
+    * (both run the same prepare).
     */
   private def checkDistVsLocal(g: CsrGraph, label: String): Unit = {
     val (bruteCount, bruteChecksum) = bruteCountAndChecksum(g, Array.tabulate(g.n)(_.toLong))
@@ -65,6 +66,8 @@ class DistributedMCESpec extends SparkSpec {
         d.metrics.globalDeletedVertices == local.globalDeletedVertices &&
         d.metrics.globalDeletedEdges == local.globalDeletedEdges,
         s"$label/${cfg.label}: global-reduction counters differ")
+      val localN = Rmce.prepare(g, cfg, new CountingSink, new Metrics(g.n)).graph.n
+      assert(d.reducedN == localN, s"$label/${cfg.label}: reducedN ${d.reducedN} != $localN")
     }
   }
 
