@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{CsrGraph, IntSets}
+import repro.graph.IntSets
 
 /** Outcome of one dynamic-reduction application: the reduced `P` and `X`,
   * the vertices the degree-0/1 rules `removed` from `P` (sorted), and the
@@ -44,6 +44,10 @@ final class DynOutcome(
   * it has finished with. It has at most one neighbour in `P`, so the pivot
   * scan leaves it out. The instance is stateful scratch space — one per
   * enumeration run (or per Spark task), never shared across threads.
+  *
+  * It works on any sorted-row graph `(adj, off)` whose ids are below `n`:
+  * the search hands it a root's local rows ([[RootGraph]]), so `n` is the
+  * largest root neighbourhood plus one. Reports go to `sink` in those ids.
   */
 final class DynamicReduction(n: Int) {
   private val inP = new Array[Int](n)        // stamp: member of current P
@@ -52,17 +56,16 @@ final class DynamicReduction(n: Int) {
   private val onlyNbr = new Array[Int](n)    // the single P-neighbour when degP==1
   private val markKnown = new Array[Int](n)  // stamp: mark memoised this call
   private val markVal = new Array[Boolean](n)
-  private val buf = new Array[Int](n + 2)    // a report: R (distinct labels) plus v, u
+  private val buf = new Array[Int](n)        // a report: R plus v, u (distinct ids)
   private var gen = 0
 
-  def apply(g: CsrGraph, r: IntStack, p: Array[Int], x: Array[Int],
-            report: (Array[Int], Int) => Unit, metrics: Metrics): DynOutcome = {
+  def apply(adj: Array[Int], off: Array[Int], r: IntStack, p: Array[Int], x: Array[Int],
+            sink: CliqueSink, metrics: Metrics): DynOutcome = {
     if (p.isEmpty) return new DynOutcome(p, x, Engine.EmptyInts, 0)
-    if (barren(g, p, x)) return new DynOutcome(Engine.EmptyInts, x, Engine.EmptyInts, 0)
+    if (DynamicReduction.covers(adj, off, p, x))
+      return new DynOutcome(Engine.EmptyInts, x, Engine.EmptyInts, 0)
     gen += 1
     val myGen = gen
-    val adj = g.adj
-    val off = g.offsets
 
     var i = 0
     while (i < p.length) { inP(p(i)) = myGen; i += 1 }
@@ -110,7 +113,7 @@ final class DynamicReduction(n: Int) {
             if (!marked(v)) {
               val len = r.copyInto(buf)
               buf(len) = v
-              report(buf, len + 1)
+              sink.report(buf, len + 1)
               metrics.preReportedDynamic += 1
             }
             dropped(v) = myGen
@@ -123,7 +126,7 @@ final class DynamicReduction(n: Int) {
             if (!marked(v) || !marked(u)) {
               val len = r.copyInto(buf)
               buf(len) = v; buf(len + 1) = u
-              report(buf, len + 2)
+              sink.report(buf, len + 2)
               metrics.preReportedDynamic += 1
               dropped(v) = myGen
               nDropped += 1
@@ -199,14 +202,15 @@ final class DynamicReduction(n: Int) {
     }
     new DynOutcome(p1, x1, removed, hoisted)
   }
+}
+
+object DynamicReduction {
 
   /** Does some `x ∈ X` cover `P` (`P ⊆ N(x)`)? Each test stops at the first
     * `P` vertex missing from `N(x)`. It probes `N(x)` by binary search, or
     * merges once `|P|·log₂ deg(x) > deg(x)`.
     */
-  private def barren(g: CsrGraph, p: Array[Int], x: Array[Int]): Boolean = {
-    val adj = g.adj
-    val off = g.offsets
+  def covers(adj: Array[Int], off: Array[Int], p: Array[Int], x: Array[Int]): Boolean = {
     var i = 0
     while (i < x.length) {
       val from = off(x(i))

@@ -58,6 +58,11 @@ private object Engine {
 /** One enumeration pass: holds reusable scratch state (never share across
   * threads).
   *
+  * Each root's search runs on its [[RootGraph]]: `R`, `P`, `X` and every
+  * row hold that root's local ids, and reports and visits map them back
+  * through `local.orig`. The maximality check reduction runs before the
+  * build, on labels, since its `ignoreId` spans roots.
+  *
   * Every recursion keeps the BK invariant "every vertex adjacent to all of
   * `R` is in `P ∪ X`": vertices the dynamic reduction drops from `P`
   * ([[DynOutcome.removed]]) join `X` for the branches and the base case,
@@ -70,32 +75,34 @@ private final class Engine(
     sink: CliqueSink,
     metrics: Metrics) {
 
-  private val n = g.n
-  private val adj = g.adj
-  private val off = g.offsets
-  private val dyn = new DynamicReduction(n)
-  private val fsr = new ForbiddenSetReduction(n)
+  private val local = new RootGraph(g, toOrig)
+  private val dyn = new DynamicReduction(local.maxSize)
+  private val fsr = new ForbiddenSetReduction(g.n)
   private val r = new IntStack()
-  private val reportBuf = new Array[Int](n + 1)
+  private val reportBuf = new Array[Int](local.maxSize)
+  /** The current root's rows ([[RootGraph.adj]], [[RootGraph.off]]). */
+  private var adj: Array[Int] = Engine.EmptyInts
+  private var off: Array[Int] = Engine.EmptyInts
 
-  /** Translate a label buffer to original ids and report. */
-  private val reportLabels: (Array[Int], Int) => Unit = (labels, len) => {
+  /** Reports a clique given in local ids, as original ids. */
+  private val localSink: CliqueSink = (ids, len) => {
     var i = 0
-    while (i < len) { reportBuf(i) = toOrig(labels(i)); i += 1 }
+    while (i < len) { reportBuf(i) = local.orig(ids(i)); i += 1 }
     sink.report(reportBuf, len)
   }
 
   /** Report `R ∪ extra[0,extraLen)`. */
-  private val scratch = new Array[Int](n + 1)
+  private val scratch = new Array[Int](local.maxSize)
   private def reportRPlus(extra: Array[Int], extraLen: Int): Unit = {
     val rl = r.copyInto(scratch)
     System.arraycopy(extra, 0, scratch, rl, extraLen)
-    reportLabels(scratch, rl + extraLen)
+    localSink.report(scratch, rl + extraLen)
   }
 
-  private def visitAll(a: Array[Int]): Unit = {
+  /** Count a visit to each vertex of `a`, mapped to original ids by `ids`. */
+  private def visitAll(a: Array[Int], ids: Array[Int]): Unit = {
     var i = 0
-    while (i < a.length) { metrics.visit(toOrig(a(i))); i += 1 }
+    while (i < a.length) { metrics.visit(ids(a(i))); i += 1 }
   }
 
   def runRoots(roots: Iterable[Int]): Unit = {
@@ -110,20 +117,41 @@ private final class Engine(
         x = x1
       }
       metrics.forbiddenXKept += x.length
-      r.clear()
-      r.push(i)
-      cfg.recursion match {
-        case RecursionKind.Degen   => recursePivot(p, x, revised = false)
-        case RecursionKind.Revised => recursePivot(p, x, revised = true)
-        case RecursionKind.Rcd     => recurseRcd(p, x)
-        case RecursionKind.Facen   => new FacenRoot(p, x).run()
+      if (endsAtOnce(p, x)) {
+        metrics.recursiveCalls += 1
+        visitAll(p, toOrig); visitAll(x, toOrig)
+      } else {
+        local.build(i, x, p)
+        adj = local.adj
+        off = local.off
+        r.clear()
+        r.push(local.nx)
+        cfg.recursion match {
+          case RecursionKind.Degen   => recursePivot(p, x, revised = false)
+          case RecursionKind.Revised => recursePivot(p, x, revised = true)
+          case RecursionKind.Rcd     => recurseRcd(p, x)
+          case RecursionKind.Facen   => new FacenRoot(p, x).run()
+        }
       }
     }
   }
 
+  /** Does the root's first call end without a branch or a report (`R = {i}`
+    * is too small to report)? It does when `P` is empty, and when some
+    * `x ∈ X′` covers `P`: the barren exit fires with dynamic reduction on,
+    * and without it the degen, revised and facen pivot scans end on a
+    * covering `x` (score `|P|`), which leaves nothing to branch on. BKrcd's
+    * peel branches anyway, so only `P = ∅` ends it. Tested on labels, so
+    * such a root builds no [[RootGraph]]; the caller counts the call and
+    * its visits.
+    */
+  private def endsAtOnce(p: Array[Int], x: Array[Int]): Boolean =
+    p.isEmpty || ((cfg.dynamicReduction || cfg.recursion != RecursionKind.Rcd) &&
+      DynamicReduction.covers(g.adj, g.offsets, p, x))
+
   /** Dynamic reduction hook shared by the array-based recursions. */
   private def dynReduce(p: Array[Int], x: Array[Int]): DynOutcome =
-    if (cfg.dynamicReduction) dyn.apply(g, r, p, x, reportLabels, metrics)
+    if (cfg.dynamicReduction) dyn.apply(adj, off, r, p, x, localSink, metrics)
     else new DynOutcome(p, x, Engine.EmptyInts, 0)
 
   /** `x` plus the vertices the dynamic reduction removed from `P`. */
@@ -142,7 +170,7 @@ private final class Engine(
   // ---------------------------------------------------------------------
   private def recursePivot(p0: Array[Int], x0: Array[Int], revised: Boolean): Unit = {
     metrics.recursiveCalls += 1
-    visitAll(p0); visitAll(x0)
+    visitAll(p0, local.orig); visitAll(x0, local.orig)
     val out = dynReduce(p0, x0)
     val p = out.p
     val x = out.x
@@ -205,7 +233,7 @@ private final class Engine(
   // ---------------------------------------------------------------------
   private def recurseRcd(p0: Array[Int], x0: Array[Int]): Unit = {
     metrics.recursiveCalls += 1
-    visitAll(p0); visitAll(x0)
+    visitAll(p0, local.orig); visitAll(x0, local.orig)
     val out = dynReduce(p0, x0)
     var p = out.p
     var x = withRemoved(out.x, out)
@@ -254,33 +282,28 @@ private final class Engine(
   // BKfacen (Jin et al.): hybrid structure — a partial adjacency matrix
   // over the root's candidate universe P₀ = N⁺(v) (≤ λ vertices) plus
   // bitmask rows for every forbidden vertex, so intersections, pivot
-  // scoring, and the dynamic reduction all become word-parallel.
+  // scoring, and the dynamic reduction all become word-parallel. The masks
+  // come from the root's local rows: P₀ is the local ids from nx + 1 on, so
+  // a member's bit is its local id − nx − 1.
   // ---------------------------------------------------------------------
-  private val uIdx = new Array[Int](n)
-  private val uStamp = new Array[Int](n)
-  private var uGen = 0
-
   private final class FacenRoot(p0: Array[Int], x0: Array[Int]) {
     private val k = p0.length
     private val w = Bits.words(math.max(1, k))
     private val nSlots = k + x0.length
-    private val slotLabel = new Array[Int](nSlots)
+    /** Slot → local id: P₀ members take slots `0 until k`, X′ the rest. */
+    private val slotId = new Array[Int](nSlots)
     private val masks = new Array[Long](nSlots * w)
 
-    // Universe index: label -> bit position (generation-stamped scratch).
-    uGen += 1
     locally {
+      val base = local.nx + 1
       var i = 0
-      while (i < k) { uIdx(p0(i)) = i; uStamp(p0(i)) = uGen; i += 1 }
-      i = 0
       while (i < nSlots) {
         val v = if (i < k) p0(i) else x0(i - k)
-        slotLabel(i) = v
+        slotId(i) = v
         var j = off(v)
         val end = off(v + 1)
         while (j < end) {
-          val nb = adj(j)
-          if (uStamp(nb) == uGen) Bits.setBit(masks, i * w, uIdx(nb))
+          if (adj(j) >= base) Bits.setBit(masks, i * w, adj(j) - base)
           j += 1
         }
         i += 1
@@ -295,7 +318,7 @@ private final class Engine(
     }
 
     private def visitBits(pb: Array[Long]): Unit =
-      Bits.forEachBit(pb, 0, w)(ui => metrics.visit(toOrig(slotLabel(ui))))
+      Bits.forEachBit(pb, 0, w)(ui => metrics.visit(local.orig(slotId(ui))))
 
     /** In-P degrees of the current candidate bits; shared scratch, valid
       * between a call's degree scan and its descent into children (children
@@ -344,8 +367,8 @@ private final class Engine(
             if (du == 0) {
               if (!Bits.testBit(orX, 0, u)) {
                 val len = r.copyInto(scratch)
-                scratch(len) = slotLabel(u)
-                reportLabels(scratch, len + 1)
+                scratch(len) = slotId(u)
+                localSink.report(scratch, len + 1)
                 metrics.preReportedDynamic += 1
               }
               Bits.clearBit(pb, 0, u)
@@ -354,8 +377,8 @@ private final class Engine(
               val v = Bits.singleBitOfAnd(masks, u * w, pb0, 0, w)
               if (!Bits.testBit(orX, 0, u) || !Bits.testBit(orX, 0, v)) {
                 val len = r.copyInto(scratch)
-                scratch(len) = slotLabel(u); scratch(len + 1) = slotLabel(v)
-                reportLabels(scratch, len + 2)
+                scratch(len) = slotId(u); scratch(len + 1) = slotId(v)
+                localSink.report(scratch, len + 2)
                 metrics.preReportedDynamic += 1
                 Bits.clearBit(pb, 0, u)
                 anyRemoved = true
@@ -395,7 +418,7 @@ private final class Engine(
           var j = 0
           while (j < hn) {
             val u = toHoist(j)
-            r.push(slotLabel(u))
+            r.push(slotId(u))
             Bits.clearBit(pb, 0, u)
             j += 1
           }
@@ -418,7 +441,7 @@ private final class Engine(
       metrics.recursiveCalls += 1
       visitBits(pBits)
       var i = 0
-      while (i < xSlots.length) { metrics.visit(toOrig(slotLabel(xSlots(i)))); i += 1 }
+      while (i < xSlots.length) { metrics.visit(local.orig(slotId(xSlots(i)))); i += 1 }
 
       var pb = pBits
       var xs = xSlots
@@ -460,7 +483,7 @@ private final class Engine(
             if (Bits.testBit(masks, curX(j) * w, wi)) nxB += curX(j)
             j += 1
           }
-          r.push(slotLabel(wi))
+          r.push(slotId(wi))
           rec(np, nxB.result())
           r.pop()
           Bits.clearBit(curP, 0, wi)

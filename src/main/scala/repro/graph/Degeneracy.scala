@@ -6,18 +6,18 @@ package repro.graph
 object Degeneracy {
 
   /** Result of a peel: `order(i)` is the i-th vertex in degeneracy order,
-    * `core(v)` is the core number of vertex `v`, and `degeneracy` is the
-    * graph's degeneracy λ (the maximum core number, 0 for edgeless graphs).
-    * The degree-0 vertices form the prefix of `order`.
+    * and `degeneracy` is the graph's degeneracy λ (the maximum core number,
+    * 0 for edgeless graphs). The degree-0 vertices form the prefix of
+    * `order`.
     */
-  final case class Decomposition(order: Array[Int], core: Array[Int], degeneracy: Int)
+  final case class Decomposition(order: Array[Int], degeneracy: Int)
 
   /** Peel vertices by repeatedly removing a minimum-degree vertex, using the
     * classic bucket queue so the whole pass is O(n + m).
     */
   def decompose(g: CsrGraph): Decomposition = {
     val n = g.n
-    if (n == 0) return Decomposition(Array.empty, Array.empty, 0)
+    if (n == 0) return Decomposition(Array.empty, 0)
 
     val deg = new Array[Int](n)
     var v = 0
@@ -40,9 +40,10 @@ object Degeneracy {
       v += 1
     }
 
+    // A vertex is peeled at its current degree, which never falls below
+    // that of an earlier peeled vertex, so it is its core number. The test
+    // `deg(w) > deg(u)` therefore skips every peeled `w` without a flag.
     val order = new Array[Int](n)
-    val core = new Array[Int](n)
-    val removed = new Array[Boolean](n)
     var degeneracy = 0
 
     var i = 0
@@ -50,13 +51,11 @@ object Degeneracy {
       val u = vert(i)
       order(i) = u
       if (deg(u) > degeneracy) degeneracy = deg(u)
-      core(u) = degeneracy
-      removed(u) = true
       var j = g.offsets(u)
       val end = g.offsets(u + 1)
       while (j < end) {
         val w = g.adj(j)
-        if (!removed(w) && deg(w) > deg(u)) {
+        if (deg(w) > deg(u)) {
           // Move w to the front of its bucket, then shrink its degree.
           val dw = deg(w)
           val pw = pos(w)
@@ -73,7 +72,7 @@ object Degeneracy {
       }
       i += 1
     }
-    Decomposition(order, core, degeneracy)
+    Decomposition(order, degeneracy)
   }
 
   /** Just the degeneracy λ. */

@@ -17,11 +17,11 @@ class ReductionUnitSpec extends AnyFunSuite {
     val dyn = new DynamicReduction(g.n)
     val r = new IntStack(); r.push(0)
     val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-    val report: (Array[Int], Int) => Unit = (a, l) => reports += a.take(l).toSet
+    val report: CliqueSink = (a, l) => reports += a.take(l).toSet
     val m = new Metrics(g.n)
     // P = {1,2,3}, X = {} — 3 is dynamic degree-0 and unmarked; {1,2} is a
     // mutual degree-one pair, so the rule also reports {0,1,2}.
-    val out = dyn.apply(g, r, Array(1, 2, 3), Array.empty, report, m)
+    val out = dyn.apply(g.adj, g.offsets, r, Array(1, 2, 3), Array.empty, report, m)
     assert(reports.contains(Set(0, 3)))
     assert(reports.contains(Set(0, 1, 2)))
     assert(!out.p.contains(3))
@@ -35,7 +35,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val dyn = new DynamicReduction(g.n)
     val r = new IntStack(); r.push(0)
     val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-    val out = dyn.apply(g, r, Array(2), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(3))
+    val out = dyn.apply(g.adj, g.offsets, r, Array(2), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(3))
     assert(reports.isEmpty)
     assert(out.p.isEmpty)
     // 1 covers P, so the barren exit fires: nothing is removed, X keeps 1.
@@ -48,7 +48,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val dyn = new DynamicReduction(g.n)
     val r = new IntStack(); r.push(0)
     val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-    val out = dyn.apply(g, r, Array(2, 3), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(4))
+    val out = dyn.apply(g.adj, g.offsets, r, Array(2, 3), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(4))
     assert(reports.toSeq == Seq(Set(0, 3)))
     assert(out.p.isEmpty && out.hoisted == 0)
     assert(out.removed.toSeq == Seq(2, 3) && out.x.toSeq == Seq(1))
@@ -59,7 +59,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val g = k6
     val dyn = new DynamicReduction(g.n)
     val r = new IntStack(); r.push(0)
-    val out = dyn.apply(g, r, Array(1, 2, 3, 4, 5), Array.empty,
+    val out = dyn.apply(g.adj, g.offsets, r, Array(1, 2, 3, 4, 5), Array.empty,
       (_, _) => fail("no report expected"), new Metrics(g.n))
     assert(out.hoisted == 5)
     assert(out.p.isEmpty)
@@ -72,7 +72,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val dyn = new DynamicReduction(g.n)
     val r = new IntStack(); r.push(0)
     val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-    val out = dyn.apply(g, r, Array(1, 2), Array.empty, (a, l) => reports += a.take(l).toSet, new Metrics(3))
+    val out = dyn.apply(g.adj, g.offsets, r, Array(1, 2), Array.empty, (a, l) => reports += a.take(l).toSet, new Metrics(3))
     // {0,1,2} reported by the degree-one rule, pair removed, nothing hoisted.
     assert(reports.toSeq == Seq(Set(0, 1, 2)))
     assert(out.p.isEmpty && out.hoisted == 0)
@@ -96,7 +96,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val g = CsrGraph.fromEdges(5, dropLiftsHoistCore)
     val r = new IntStack(); r.push(0)
     val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-    val out = new DynamicReduction(g.n).apply(g, r, Array(1, 2, 3, 4), Array.empty,
+    val out = new DynamicReduction(g.n).apply(g.adj, g.offsets, r, Array(1, 2, 3, 4), Array.empty,
       (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
     assert(reports.toSeq == Seq(Set(0, 1, 4)))
     assert(out.hoisted == 3 && (0 until r.size).map(r(_)) == Seq(0, 1, 2, 3))
@@ -140,7 +140,7 @@ class ReductionUnitSpec extends AnyFunSuite {
       val g = CsrGraph.fromEdges(7, (1 to 5).map((0, _)) ++ Seq((1, 2)) ++ pEdges ++ xEdges)
       val r = new IntStack(); r.push(0)
       val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-      val out = new DynamicReduction(g.n).apply(g, r, Array(1, 2, 3, 4, 5), x.toArray,
+      val out = new DynamicReduction(g.n).apply(g.adj, g.offsets, r, Array(1, 2, 3, 4, 5), x.toArray,
         (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
       assert(reports.toSeq == Seq(Set(0, 1, 2)))
       assert((1 until r.size).map(r(_)) == Seq(hoist).filter(_ >= 0) && out.hoisted == r.size - 1)
@@ -166,7 +166,7 @@ class ReductionUnitSpec extends AnyFunSuite {
       val g = barrenCase(coverAll = true, hubLeaves)
       val r = new IntStack(); r.push(0)
       val m = new Metrics(g.n)
-      val out = new DynamicReduction(g.n).apply(g, r, Array(2, 3, 4), Array(1),
+      val out = new DynamicReduction(g.n).apply(g.adj, g.offsets, r, Array(2, 3, 4), Array(1),
         (_, _) => fail("no report expected"), m)
       assert(out.p.isEmpty && out.removed.isEmpty)
       assert(out.x.toSeq == Seq(1))
@@ -179,7 +179,7 @@ class ReductionUnitSpec extends AnyFunSuite {
       val g = barrenCase(coverAll = false, hubLeaves)
       val r = new IntStack(); r.push(0)
       val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-      val out = new DynamicReduction(g.n).apply(g, r, Array(2, 3, 4), Array(1),
+      val out = new DynamicReduction(g.n).apply(g.adj, g.offsets, r, Array(2, 3, 4), Array(1),
         (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
       // 4 is degree-0 and unmarked, so {0,4} is reported; {2,3} is then
       // hoisted, X keeps 1, which is adjacent to both, and 4 leaves

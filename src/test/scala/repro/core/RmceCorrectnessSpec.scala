@@ -118,6 +118,25 @@ class RmceCorrectnessSpec extends AnyFunSuite {
     check(plantedClique(60, 0.2, 20, seed = 7), "planted-k20")
   }
 
+  test("all configs match brute force on a planted K40 beside a sparse core, with hubs") {
+    val g = hubbedClique(core = 60, p = 0.08, k = 40, hubs = 3, seed = 11)
+    val expected = BruteForce.maximalCliquesPivoted(g)
+    assert(expected.forall(BruteForce.isMaximalClique(g, _)))
+    checkExpected(g, "hubbed-k40", expected)
+    // (recursive calls, dynamic pre-reports), recorded when the search still
+    // merged over global rows: the per-root local ids keep label order, so
+    // the search tree must not change.
+    val want = Seq(
+      RmceConfig.rmce(RecursionKind.Degen) -> (116L, 85L),
+      RmceConfig.baseline(RecursionKind.Degen) -> (469L, 0L),
+      RmceConfig.rmce(RecursionKind.Rcd) -> (111L, 78L),
+      RmceConfig.baseline(RecursionKind.Rcd) -> (228L, 0L))
+    for ((cfg, counts) <- want) {
+      val m = Rmce.run(g, cfg, new CountingSink)
+      assert((m.recursiveCalls, m.preReportedDynamic) == counts, cfg.label)
+    }
+  }
+
   test("all configs report the 3^5 transversals of Moon-Moser 3x5") {
     val g = moonMoser(5)
     val expected = BruteForce.maximalCliques(g)

@@ -101,6 +101,24 @@ object TestGraphs {
     CsrGraph.fromEdges(n, gnp(n, p, seed).edges ++ planted)
   }
 
+  /** A K_k beside a sparse core, plus hubs. Vertices `0 until core` form
+    * G(core, p); the next `k` form a K_k whose members each have one edge
+    * into the core; the last `hubs` are adjacent to each other and to a
+    * random half of all the rest. A hub's row is then far longer than the
+    * candidate set of most roots whose neighbourhood holds it.
+    */
+  def hubbedClique(core: Int, p: Double, k: Int, hubs: Int, seed: Long): CsrGraph = {
+    val rnd = new Random(seed)
+    val members = core until core + k
+    val hubIds = (core + k) until (core + k + hubs)
+    val edges = gnp(core, p, seed).edges.toSeq ++
+      (for (a <- members; b <- members if a < b) yield (a, b)) ++
+      members.map(m => (rnd.nextInt(core), m)) ++
+      (for (a <- hubIds; b <- hubIds if a < b) yield (a, b)) ++
+      (for (h <- hubIds; v <- 0 until core + k if rnd.nextBoolean()) yield (v, h))
+    CsrGraph.fromEdges(core + k + hubs, edges)
+  }
+
   /** Moon–Moser graph: `t` groups of 3 with every edge between groups; its
     * maximal cliques are the 3^t transversals.
     */
