@@ -19,31 +19,39 @@ import repro.graph.CsrGraph
   * with it every report, does not depend on the order rules fire in.
   *
   * Representation: the input CSR stays immutable. Each undirected edge has
-  * two directed slots, one in each endpoint's row, and `rev(p)` is the slot
-  * of the same edge in the other row, built in one cursor pass. Deleting an
-  * edge marks both of its slots dead, and deleting a vertex does so for each
-  * of its live edges, so an edge is alive iff its slot is: no search and no
-  * hashing. Degrees are counters, and the low-degree FIFO is a primitive
-  * array that holds each vertex at most once.
+  * two directed slots, one in each endpoint's row. A slot is live iff its
+  * `removedSlot` flag is clear and its neighbour is not peeled (`gone`).
+  * Deleting an edge marks both of its slots, the partner found by one
+  * binary search in the other row. Deleting a vertex marks its own row and
+  * sets its `gone` flag, so the ~n peels of a sparse graph write no
+  * neighbour's row and need no index from a slot to its partner; one pass
+  * over the rows left folds `gone` into the slot flags before the reduced
+  * graph is copied. Degrees are counters (a vertex's degree is the number
+  * of live slots in its row), and the low-degree FIFO is a primitive array
+  * that holds each vertex at most once.
   *
   * Triangle closure: an edge is deleted only when it lies in no live
   * triangle, or with an endpoint, so if two edges of a triangle of the
   * input are live, the third is too. Hence deleting an edge breaks no live
   * triangle and needs no row merge, and an input edge that closes a
-  * triangle with two live edges is live without looking at its slot.
+  * triangle with two live edges is live without looking at its slots.
   *
-  * The non-triangle rule runs as one pass with the paper's visited-triangle
-  * marking. Each live edge is tested from its endpoint `h` of higher static
-  * degree (ties by id): `h`'s row is stamped once with each neighbour's
-  * slot, and the other endpoint's row is scanned up to the first live slot
-  * to a stamped neighbour. That is the arboricity-bounded triangle test of
-  * Chiba & Nishizeki (SIAM J. Comput. 1985), O(Σ min(d_u, d_v)) = O(m·α) in
-  * all, and it stops at the first witness instead of listing triangles.
-  * After the pass every live edge lies in a live triangle, and by closure it
-  * can only lose its last one when a degree-two vertex of that triangle is
-  * deleted. Lemma 3 tests the opposite edge at exactly that moment (the one
-  * lookup left, by binary search in the shorter row), so the fix-point needs
-  * no re-probe queue.
+  * The non-triangle rule runs as one pass. Each live edge is tested from
+  * its endpoint `h` of higher static degree (ties by id): `h`'s row is
+  * stamped once, and the other endpoint's row is scanned up to the first
+  * live neighbour that is stamped. That is the arboricity-bounded triangle
+  * test of Chiba & Nishizeki (SIAM J. Comput. 1985), O(Σ min(d_u, d_v)) =
+  * O(m·α) in all, and it stops at the first witness instead of listing
+  * triangles. Alg. 6 also marks the two sibling edges of each witness
+  * triangle as visited, to skip their tests. By closure those siblings
+  * still have that witness when their turn comes, so the marks change no
+  * deletion; on cliques the reduction cannot touch they cost more than the
+  * tests they skip (2m flags and three random writes per triangle found),
+  * so the pass does without them. After the pass every live edge lies in a
+  * live triangle, and by closure it can only lose its last one when a
+  * degree-two vertex of that triangle is deleted. Lemma 3 tests the
+  * opposite edge at exactly that moment (the one lookup left, by binary
+  * search in the shorter row), so the fix-point needs no re-probe queue.
   *
   * The reduced graph keeps the input's vertex ids, so its edges compare
   * directly with the input's: a deleted vertex stays as a degree-0 vertex,
@@ -60,11 +68,11 @@ object GlobalReduction {
     val n = g.n
     val adj = g.adj
     val off = g.offsets
-    val rev = reverseSlots(g)
     val deg = new Array[Int](n)
     var v = 0
     while (v < n) { deg(v) = off(v + 1) - off(v); v += 1 }
     val removedSlot = new Array[Boolean](adj.length)
+    val gone = new Array[Boolean](n)
     val buf = new Array[Int](3)
     var deletedVertices = 0
     var deletedEdges = 0L
@@ -91,31 +99,33 @@ object GlobalReduction {
         queued(v) = true; queue(qTail) = v; qTail += 1
       }
 
+    def live(p: Int): Boolean = !removedSlot(p) && !gone(adj(p))
+
     def shorter(a: Int, b: Int): Int = if (off(a + 1) - off(a) <= off(b + 1) - off(b)) a else b
 
-    /** Slot of edge (a, b), by binary search in the shorter row, or -1. */
-    def slotOf(a: Int, b: Int): Int = {
-      val row = shorter(a, b)
-      val p = java.util.Arrays.binarySearch(adj, off(row), off(row + 1), if (row == a) b else a)
-      if (p >= 0) p else -1
-    }
+    /** Slot of `b` in `a`'s row, or a negative number. */
+    def find(a: Int, b: Int): Int = java.util.Arrays.binarySearch(adj, off(a), off(a + 1), b)
 
-    /** Deletes the edge of slot `p`, which lies in no live triangle. */
-    def removeEdge(p: Int): Unit = {
-      val q = rev(p)
-      removedSlot(p) = true; removedSlot(q) = true
+    /** Deletes the edge of slot `p` in `owner`'s row, which lies in no live
+      * triangle.
+      */
+    def removeEdge(owner: Int, p: Int): Unit = {
+      val other = adj(p)
+      removedSlot(p) = true; removedSlot(find(other, owner)) = true
       deletedEdges += 1
-      val a = adj(q); val b = adj(p)
-      deg(a) -= 1; deg(b) -= 1
-      enqueueIfLow(a); enqueueIfLow(b)
+      deg(owner) -= 1; deg(other) -= 1
+      enqueueIfLow(owner); enqueueIfLow(other)
     }
 
+    /** Deletes `v` and its `deg(v)` live edges: its own row is marked dead,
+      * its neighbours' slots to it only through `gone(v)` until the fold.
+      */
     def removeVertex(v: Int): Unit = {
+      var left = deg(v)
       var i = off(v)
-      val end = off(v + 1)
-      while (i < end) {
-        if (!removedSlot(i)) {
-          removedSlot(i) = true; removedSlot(rev(i)) = true
+      while (left > 0) {
+        if (live(i)) {
+          left -= 1
           deletedEdges += 1
           val u = adj(i)
           deg(u) -= 1
@@ -123,6 +133,8 @@ object GlobalReduction {
         }
         i += 1
       }
+      java.util.Arrays.fill(removedSlot, off(v), off(v + 1), true)
+      gone(v) = true
       deg(v) = 0
       deletedVertices += 1
     }
@@ -134,7 +146,7 @@ object GlobalReduction {
       var i = off(v)
       val end = off(v + 1)
       while (i < end && k < 2) {
-        if (!removedSlot(i)) { nbr2(k) = adj(i); k += 1 }
+        if (live(i)) { nbr2(k) = adj(i); k += 1 }
         i += 1
       }
     }
@@ -151,7 +163,10 @@ object GlobalReduction {
       val end = off(s + 1)
       while (i < end) {
         val c = adj(i)
-        if (c != skip && !removedSlot(i) && slotOf(c, t) >= 0) return true
+        if (c != skip && live(i)) {
+          val r = shorter(c, t)
+          if (find(r, if (r == c) t else c) >= 0) return true
+        }
         i += 1
       }
       false
@@ -175,7 +190,8 @@ object GlobalReduction {
           // Lemma 3, three scenarios.
           liveNeighbors2(v)
           val u = nbr2(0); val w = nbr2(1)
-          val p = slotOf(u, w)
+          val s = shorter(u, w)
+          val p = find(s, if (s == u) w else u)
           if (p < 0) {
             report2(v, u); report2(v, w)
             removeVertex(v)
@@ -184,7 +200,7 @@ object GlobalReduction {
             // {u,w} is never reported as a (non-maximal) 2-clique later.
             report3(v, u, w)
             removeVertex(v)
-            removeEdge(p)
+            removeEdge(s, p)
           } else {
             // (u,w) keeps a witness c; only c's deletion, as a degree-2
             // vertex, can take it away, and that Lemma 3 step tests (u,w).
@@ -195,17 +211,11 @@ object GlobalReduction {
       }
     }
 
-    /** Alg. 6, one pass with the paper's visited-triangle marking: once an
-      * edge is seen inside a triangle, its two sibling edges need no test of
-      * their own. `visited` is indexed by the canonical slot `min(p,
-      * rev(p))`; `stamp(c) == h + 1` means `c` is in `h`'s row, at slot
-      * `stampSlot(c)`.
+    /** Alg. 6, one pass: every live edge is tested from its higher-degree
+      * endpoint `h`, whose row is stamped (`stamp(c) == h + 1`) once.
       */
     def edgePass(): Unit = {
-      val visited = new Array[Boolean](adj.length)
       val stamp = new Array[Int](n)
-      val stampSlot = new Array[Int](n)
-      def visit(p: Int): Unit = visited(math.min(p, rev(p))) = true
       var h = 0
       while (h < n) {
         if (deg(h) > 0) {
@@ -216,20 +226,18 @@ object GlobalReduction {
           while (p < end) {
             val l = adj(p)
             val dl = off(l + 1) - off(l)
-            if (!removedSlot(p) && (dl < dh || (dl == dh && l < h)) && !visited(math.min(p, rev(p)))) {
+            if ((dl < dh || (dl == dh && l < h)) && live(p)) {
               if (!stamped) {
                 var r = off(h)
-                while (r < end) { stamp(adj(r)) = h + 1; stampSlot(adj(r)) = r; r += 1 }
+                while (r < end) { stamp(adj(r)) = h + 1; r += 1 }
                 stamped = true
               }
               var q = off(l)
               val qEnd = off(l + 1)
-              while (q < qEnd && (removedSlot(q) || stamp(adj(q)) != h + 1)) q += 1
+              while (q < qEnd && (stamp(adj(q)) != h + 1 || !live(q))) q += 1
               if (q == qEnd) {
                 report2(math.min(h, l), math.max(h, l))
-                removeEdge(p)
-              } else {
-                visit(p); visit(q); visit(stampSlot(adj(q)))
+                removeEdge(h, p)
               }
             }
             p += 1
@@ -246,34 +254,18 @@ object GlobalReduction {
     edgePass()
     vertexReduction()
 
-    val reduced = if (deletedEdges == 0) g else g.withoutSlots(removedSlot)
+    val reduced = if (deletedEdges == 0) g else {
+      v = 0
+      while (v < n) {
+        var i = off(v)
+        val end = off(v + 1)
+        if (!gone(v)) while (i < end) { if (gone(adj(i))) removedSlot(i) = true; i += 1 }
+        v += 1
+      }
+      g.withoutSlots(removedSlot)
+    }
     metrics.globalDeletedVertices += deletedVertices
     metrics.globalDeletedEdges += deletedEdges
     Result(reduced)
-  }
-
-  /** `rev(p)`: the slot of edge `p` in its other endpoint's row. Visiting
-    * rows in increasing id order reaches each row's smaller neighbours in
-    * increasing order, so one cursor per row pairs the slots.
-    */
-  private def reverseSlots(g: CsrGraph): Array[Int] = {
-    val adj = g.adj
-    val off = g.offsets
-    val rev = new Array[Int](adj.length)
-    val cursor = java.util.Arrays.copyOf(off, g.n)
-    var u = 0
-    while (u < g.n) {
-      var p = g.split(u)
-      val end = off(u + 1)
-      while (p < end) {
-        val v = adj(p)
-        val q = cursor(v)
-        rev(p) = q; rev(q) = p
-        cursor(v) = q + 1
-        p += 1
-      }
-      u += 1
-    }
-    rev
   }
 }
