@@ -199,9 +199,19 @@ final class DynamicReduction(n: Int) {
       }
       p1 = java.util.Arrays.copyOf(keep, k)
       if (nRemoved < removed.length) removed = java.util.Arrays.copyOf(removed, nRemoved)
+      // Every hoisted vertex was adjacent to every survivor.
+      i = 0
+      while (i < k) { degP(p1(i)) -= hoisted; i += 1 }
     }
     new DynOutcome(p1, x1, removed, hoisted)
   }
+
+  /** `|N(v) ∩ P|` for `v` in the `P` the last [[apply]] returned, while that
+    * `P` is not empty: the degree scan's count, patched for the vertices
+    * the rules removed or hoisted. The pivot scan reads it instead of
+    * merging again.
+    */
+  def degreeInP(v: Int): Int = degP(v)
 }
 
 object DynamicReduction {

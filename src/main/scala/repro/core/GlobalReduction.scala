@@ -22,13 +22,13 @@ import repro.graph.CsrGraph
   * two directed slots, one in each endpoint's row. A slot is live iff its
   * `removedSlot` flag is clear and its neighbour is not peeled (`gone`).
   * Deleting an edge marks both of its slots, the partner found by one
-  * binary search in the other row. Deleting a vertex marks its own row and
-  * sets its `gone` flag, so the ~n peels of a sparse graph write no
-  * neighbour's row and need no index from a slot to its partner; one pass
-  * over the rows left folds `gone` into the slot flags before the reduced
-  * graph is copied. Degrees are counters (a vertex's degree is the number
-  * of live slots in its row), and the low-degree FIFO is a primitive array
-  * that holds each vertex at most once.
+  * binary search in the other row. Deleting a vertex (of degree
+  * at most two, whose live neighbours the rule has just found) only sets
+  * its `gone` flag, so the ~n peels of a sparse graph write no row and need
+  * no index from a slot to its partner; no one reads a deleted vertex's row
+  * again. Degrees are counters (a vertex's degree is the number of live
+  * slots in its row), and the low-degree FIFO is a primitive array that
+  * holds each vertex at most once.
   *
   * Triangle closure: an edge is deleted only when it lies in no live
   * triangle, or with an endpoint, so if two edges of a triangle of the
@@ -47,30 +47,46 @@ import repro.graph.CsrGraph
   * still have that witness when their turn comes, so the marks change no
   * deletion; on cliques the reduction cannot touch they cost more than the
   * tests they skip (2m flags and three random writes per triangle found),
-  * so the pass does without them. After the pass every live edge lies in a
-  * live triangle, and by closure it can only lose its last one when a
-  * degree-two vertex of that triangle is deleted. Lemma 3 tests the
-  * opposite edge at exactly that moment (the one lookup left, by binary
-  * search in the shorter row), so the fix-point needs no re-probe queue.
+  * so the pass does without them. A scan that finds no witness has read
+  * the other endpoint's whole row, `h`'s slot in it too, yet the deletion
+  * still finds that slot by binary search: noting it during the scan costs
+  * a compare per scanned slot, and on a dense core, where nearly every scan
+  * ends at a witness, that made the reduction slower. After each `h` the
+  * pass runs the peels its deletions fed: a vertex they delete is gone
+  * before the pass reaches it, and its edges are never tested. Since the
+  * fix-point does not depend on rule order, this changes no deletion and
+  * no report.
   *
-  * The reduced graph keeps the input's vertex ids, so its edges compare
-  * directly with the input's: a deleted vertex stays as a degree-0 vertex,
-  * and `Rmce.prepare` leaves those out of the graph it hands the search. It
-  * is the input graph itself when nothing was deleted. The deletion counts
-  * go to `metrics` (`globalDeletedVertices`, `globalDeletedEdges`), the one
-  * record of a run's counters.
+  * After the pass every live edge lies in a live triangle, and by closure
+  * it can only lose its last one when a degree-two vertex of that triangle
+  * is deleted. Lemma 3 tests the opposite edge at exactly that moment (by
+  * binary search in the shorter row), so the fix-point needs no re-probe
+  * queue.
+  *
+  * The deletion counts go to `metrics` (`globalDeletedVertices`,
+  * `globalDeletedEdges`), the one record of a run's counters.
   */
 object GlobalReduction {
 
-  final case class Result(reduced: CsrGraph)
+  /** `reduced` holds the vertices that keep an edge, numbered in increasing
+    * input id; `toOrig(v)` is the input id of its vertex `v`. It is the
+    * input graph itself, with the identity table, when the reduction
+    * deletes nothing and the input has no isolated vertex.
+    */
+  final case class Result(reduced: CsrGraph, toOrig: Array[Int])
 
   def apply(g: CsrGraph, sink: CliqueSink, metrics: Metrics): Result = {
     val n = g.n
     val adj = g.adj
     val off = g.offsets
     val deg = new Array[Int](n)
+    var isolated = 0
     var v = 0
-    while (v < n) { deg(v) = off(v + 1) - off(v); v += 1 }
+    while (v < n) {
+      deg(v) = off(v + 1) - off(v)
+      if (deg(v) == 0) isolated += 1
+      v += 1
+    }
     val removedSlot = new Array[Boolean](adj.length)
     val gone = new Array[Boolean](n)
     val buf = new Array[Int](3)
@@ -88,16 +104,16 @@ object GlobalReduction {
       metrics.preReportedGlobal += 1
     }
 
-    // Degrees only fall and a dequeued vertex is deleted (or was isolated
-    // from the start), so each vertex enters the FIFO at most once.
+    // A vertex enters the FIFO once: at the start if its degree is <= 2,
+    // or when its degree, which falls one edge at a time, reaches 2.
     val queue = new Array[Int](n)
     var qHead = 0
     var qTail = 0
-    val queued = new Array[Boolean](n)
-    def enqueueIfLow(v: Int): Unit =
-      if (!queued(v) && deg(v) <= 2) {
-        queued(v) = true; queue(qTail) = v; qTail += 1
-      }
+    def enqueue(v: Int): Unit = { queue(qTail) = v; qTail += 1 }
+    def lowerDegree(v: Int): Unit = {
+      deg(v) -= 1
+      if (deg(v) == 2) enqueue(v)
+    }
 
     def live(p: Int): Boolean = !removedSlot(p) && !gone(adj(p))
 
@@ -113,30 +129,7 @@ object GlobalReduction {
       val other = adj(p)
       removedSlot(p) = true; removedSlot(find(other, owner)) = true
       deletedEdges += 1
-      deg(owner) -= 1; deg(other) -= 1
-      enqueueIfLow(owner); enqueueIfLow(other)
-    }
-
-    /** Deletes `v` and its `deg(v)` live edges: its own row is marked dead,
-      * its neighbours' slots to it only through `gone(v)` until the fold.
-      */
-    def removeVertex(v: Int): Unit = {
-      var left = deg(v)
-      var i = off(v)
-      while (left > 0) {
-        if (live(i)) {
-          left -= 1
-          deletedEdges += 1
-          val u = adj(i)
-          deg(u) -= 1
-          enqueueIfLow(u)
-        }
-        i += 1
-      }
-      java.util.Arrays.fill(removedSlot, off(v), off(v + 1), true)
-      gone(v) = true
-      deg(v) = 0
-      deletedVertices += 1
+      lowerDegree(owner); lowerDegree(other)
     }
 
     /** The (up to) two live neighbours of a degree-≤2 vertex. */
@@ -149,6 +142,20 @@ object GlobalReduction {
         if (live(i)) { nbr2(k) = adj(i); k += 1 }
         i += 1
       }
+    }
+
+    /** Deletes the degree-≤2 vertex `v` and its `deg(v)` live edges, to the
+      * neighbours `liveNeighbors2(v)` put in `nbr2`. The neighbours' slots
+      * to `v` die through `gone(v)`, and no one reads `v`'s row again.
+      */
+    def removeVertex(v: Int): Unit = {
+      val d = deg(v)
+      var k = 0
+      while (k < d) { lowerDegree(nbr2(k)); k += 1 }
+      deletedEdges += d
+      gone(v) = true
+      deg(v) = 0
+      deletedVertices += 1
     }
 
     /** Whether the live edge (a, b) has a live common neighbour other than
@@ -212,7 +219,8 @@ object GlobalReduction {
     }
 
     /** Alg. 6, one pass: every live edge is tested from its higher-degree
-      * endpoint `h`, whose row is stamped (`stamp(c) == h + 1`) once.
+      * endpoint `h`, whose row is stamped (`stamp(c) == h + 1`) once. The
+      * peels `h`'s deletions cause run before the next `h`.
       */
     def edgePass(): Unit = {
       val stamp = new Array[Int](n)
@@ -242,30 +250,25 @@ object GlobalReduction {
             }
             p += 1
           }
+          vertexReduction()
         }
         h += 1
       }
     }
 
-    // Low-degree peel, one edge pass, then the peel it re-feeds.
+    // Low-degree peel, then the edge pass with the peels it feeds.
     v = 0
-    while (v < n) { enqueueIfLow(v); v += 1 }
+    while (v < n) { if (deg(v) <= 2) enqueue(v); v += 1 }
     vertexReduction()
     edgePass()
     vertexReduction()
 
-    val reduced = if (deletedEdges == 0) g else {
-      v = 0
-      while (v < n) {
-        var i = off(v)
-        val end = off(v + 1)
-        if (!gone(v)) while (i < end) { if (gone(adj(i))) removedSlot(i) = true; i += 1 }
-        v += 1
-      }
-      g.withoutSlots(removedSlot)
-    }
     metrics.globalDeletedVertices += deletedVertices
     metrics.globalDeletedEdges += deletedEdges
-    Result(reduced)
+    if (deletedEdges == 0 && isolated == 0) Result(g, Array.range(0, n))
+    else {
+      val (reduced, toOrig) = g.compacted(removedSlot, gone)
+      Result(reduced, toOrig)
+    }
   }
 }

@@ -27,17 +27,26 @@ object Rmce {
   final case class Prepared(graph: CsrGraph, toOrig: Array[Int], degeneracy: Int)
 
   /** Global reduction + ordering; split out so the distributed driver can
-    * broadcast the result and farm `runRoots` out per partition. The peel
-    * takes the degree-0 vertices first, so the search's order is the rest.
+    * broadcast the result and farm `runRoots` out per partition. Global
+    * reduction hands over only the vertices that keep an edge, with their
+    * `g0` ids; without it, the peel takes the degree-0 vertices first, so
+    * the search's order is the rest.
     */
   def prepare(g0: CsrGraph, cfg: RmceConfig, sink: CliqueSink, metrics: Metrics): Prepared = {
-    val g1 = if (cfg.globalReduction) GlobalReduction(g0, sink, metrics).reduced else g0
+    val reduced = if (cfg.globalReduction) Some(GlobalReduction(g0, sink, metrics)) else None
+    val g1 = reduced.fold(g0)(_.reduced)
     val decomp = Degeneracy.decompose(g1)
     val all = decomp.order
     var isolated = 0
     while (isolated < all.length && g1.degree(all(isolated)) == 0) isolated += 1
     val order = if (isolated == 0) all else java.util.Arrays.copyOfRange(all, isolated, all.length)
-    Prepared(g1.relabelled(order), order, decomp.degeneracy)
+    val toOrig = reduced.fold(order) { r =>
+      val ids = new Array[Int](order.length)
+      var i = 0
+      while (i < ids.length) { ids(i) = r.toOrig(order(i)); i += 1 }
+      ids
+    }
+    Prepared(g1.relabelled(order), toOrig, decomp.degeneracy)
   }
 
   /** Run a subset of root subproblems (labels of `prepared.graph`, in
@@ -193,7 +202,7 @@ private final class Engine(
       if (!barren) {
         var i = 0
         while (i < p.length && best < p.length - 1) {
-          val s = scoreAgainst(p(i), p)
+          val s = if (cfg.dynamicReduction) dyn.degreeInP(p(i)) else scoreAgainst(p(i), p)
           if (s > best) { best = s; pivot = p(i) }
           i += 1
         }

@@ -117,36 +117,64 @@ final class CsrGraph private (
     new CsrGraph(k, offs, out)
   }
 
-  /** The subgraph without the edges whose slots `dead` marks (`dead` is
-    * indexed like `adj` and marks both slots of a deleted edge). Rows stay
-    * sorted, so this copies the live slots and nothing else.
+  /** The subgraph left after deletions, on the vertices that keep an edge:
+    * slot `i` of `v`'s row stays iff `deadSlot(i)` is clear (`deadSlot` is
+    * indexed like `adj`) and neither `v` nor its neighbour is `peeled`.
+    * Kept vertices are renumbered in increasing id, so rows stay sorted and
+    * are copied, not sorted. Returns the graph and its new-id → old-id
+    * table (ascending).
     */
-  def withoutSlots(dead: Array[Boolean]): CsrGraph = {
-    require(dead.length == adj.length, s"dead has ${dead.length} slots, graph has ${adj.length}")
-    val offs = new Array[Int](n + 1)
+  def compacted(deadSlot: Array[Boolean], peeled: Array[Boolean]): (CsrGraph, Array[Int]) = {
+    require(deadSlot.length == adj.length, s"deadSlot has ${deadSlot.length} slots, graph has ${adj.length}")
+    require(peeled.length == n, s"peeled has ${peeled.length} vertices, graph has $n")
+    // The kept degree of each vertex (counted without a branch), then its
+    // new id (or -1).
+    val newId = new Array[Int](n)
+    var k = 0
     var v = 0
     while (v < n) {
-      var live = 0
-      var i = offsets(v)
-      val end = offsets(v + 1)
-      while (i < end) { live += (if (dead(i)) 0 else 1); i += 1 }
-      offs(v + 1) = offs(v) + live
-      v += 1
-    }
-    val out = new Array[Int](offs(n))
-    v = 0
-    while (v < n) {
-      val from = offsets(v)
-      val end = offsets(v + 1)
-      var w = offs(v)
-      if (offs(v + 1) - w == end - from) System.arraycopy(adj, from, out, w, end - from)
-      else if (offs(v + 1) > w) {
-        var i = from
-        while (i < end) { if (!dead(i)) { out(w) = adj(i); w += 1 }; i += 1 }
+      if (!peeled(v)) {
+        var d = 0
+        var i = offsets(v)
+        val end = offsets(v + 1)
+        while (i < end) { d += (if (deadSlot(i) | peeled(adj(i))) 0 else 1); i += 1 }
+        newId(v) = d
+        if (d > 0) k += 1
       }
       v += 1
     }
-    new CsrGraph(n, offs, out)
+    val toOrig = new Array[Int](k)
+    val offs = new Array[Int](k + 1)
+    var j = 0
+    v = 0
+    while (v < n) {
+      if (newId(v) > 0) {
+        toOrig(j) = v
+        offs(j + 1) = offs(j) + newId(v)
+        newId(v) = j
+        j += 1
+      } else newId(v) = -1
+      v += 1
+    }
+    // With every vertex kept, no vertex is peeled and the ids stay: a row
+    // that loses nothing is one block copy, and no slot needs `newId`.
+    val sameIds = k == n
+    val out = new Array[Int](offs(k))
+    j = 0
+    while (j < k) {
+      val from = offsets(toOrig(j))
+      val end = offsets(toOrig(j) + 1)
+      var w = offs(j)
+      var i = from
+      if (!sameIds) while (i < end) {
+        if (!deadSlot(i) && !peeled(adj(i))) { out(w) = newId(adj(i)); w += 1 }
+        i += 1
+      }
+      else if (offs(j + 1) - w == end - from) System.arraycopy(adj, from, out, w, end - from)
+      else while (i < end) { if (!deadSlot(i)) { out(w) = adj(i); w += 1 }; i += 1 }
+      j += 1
+    }
+    (new CsrGraph(k, offs, out), toOrig)
   }
 }
 

@@ -21,6 +21,7 @@ object DistributedReduction {
     val (g, toLong) = DistributedMCE.collectGraph(edges)
     val r = GlobalReduction(g, new CountingSink, new Metrics(g.n))
     import spark.implicits._
-    Result(r.reduced.edges.toSeq.map { case (u, v) => (toLong(u), toLong(v)) }.toDF("src", "dst"))
+    Result(r.reduced.edges.toSeq.map { case (u, v) => (toLong(r.toOrig(u)), toLong(r.toOrig(v))) }
+      .toDF("src", "dst"))
   }
 }

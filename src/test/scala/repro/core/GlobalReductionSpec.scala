@@ -13,6 +13,10 @@ import TestGraphs._
   */
 class GlobalReductionSpec extends AnyFunSuite {
 
+  /** The reduced graph over the input's `n` ids, through `toOrig`. */
+  private def inInputIds(res: GlobalReduction.Result, n: Int): CsrGraph =
+    CsrGraph.fromEdges(n, res.reduced.edges.map { case (u, v) => (res.toOrig(u), res.toOrig(v)) })
+
   private def invariant(g: CsrGraph, label: String): Unit = {
     val sink = new CollectingSink
     val metrics = new Metrics(g.n)
@@ -22,7 +26,7 @@ class GlobalReductionSpec extends AnyFunSuite {
     pre.foreach { c =>
       assert(BruteForce.isMaximalClique(g, c), s"$label: pre-report $c not maximal in G")
     }
-    val rest = BruteForce.maximalCliques(res.reduced)
+    val rest = BruteForce.maximalCliques(inInputIds(res, g.n))
     assert(rest.intersect(pre.toSet).isEmpty, s"$label: clique found on both sides")
     assert(rest ++ pre == BruteForce.maximalCliques(g), s"$label: union mismatch")
     assert(metrics.preReportedGlobal == pre.size)
@@ -95,9 +99,10 @@ class GlobalReductionSpec extends AnyFunSuite {
     val g = fromEdges(5, (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4))
     val sink = new CollectingSink
     val res = GlobalReduction(g, sink, new Metrics(5))
+    val reduced = inInputIds(res, g.n)
     assert(sink.asSet == Set(Set(0, 1, 4)))
-    assert(res.reduced.hasEdge(0, 1), "edge (0,1) still carried by clique {0,1,2,3}")
-    assert(BruteForce.maximalCliques(res.reduced) == Set(Set(0, 1, 2, 3)))
+    assert(reduced.hasEdge(0, 1), "edge (0,1) still carried by clique {0,1,2,3}")
+    assert(BruteForce.maximalCliques(reduced) == Set(Set(0, 1, 2, 3)))
   }
 
   test("reduction can cascade through multiple rounds") {
@@ -105,6 +110,27 @@ class GlobalReductionSpec extends AnyFunSuite {
     // new low-degree vertices round after round.
     val g = fromEdges(7, (0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6))
     invariant(g, "cascade")
+  }
+
+  test("a peel inside the edge pass deletes the edges of a vertex the pass has not reached") {
+    // K5 {0..4}, K4 {9..12}, and between them 0-5, the triangles 5-6-7 and
+    // 6-7-8, and 8-9. No vertex starts at degree <= 2. At h = 0 the pass
+    // deletes the non-triangle edge (0,5); the peel it feeds then deletes
+    // 5, 6, 7 and 8 (all above 0, with edges the pass would test from 6, 7,
+    // 8 and 9) before the pass moves on.
+    val k5 = for (u <- 0 to 4; v <- u + 1 to 4) yield (u, v)
+    val k4 = for (u <- 9 to 12; v <- u + 1 to 12) yield (u, v)
+    val g = CsrGraph.fromEdges(13, k5 ++ k4 ++ Seq((0, 5), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8), (8, 9)))
+    assert((0 until g.n).forall(g.degree(_) >= 3))
+    val sink = new CollectingSink
+    val metrics = new Metrics(g.n)
+    val res = GlobalReduction(g, sink, metrics)
+    assert(sink.asSet == Set(Set(0, 5), Set(5, 6, 7), Set(6, 7, 8), Set(8, 9)))
+    assert(metrics.globalDeletedVertices == 4)
+    assert(res.toOrig.toSeq == Seq(0, 1, 2, 3, 4, 9, 10, 11, 12))
+    assert(inInputIds(res, g.n).edges.toSet == (k5 ++ k4).toSet)
+    invariant(g, "in-pass peel")
+    sameAsReference(g, "in-pass peel")
   }
 
   test("degeneracy of the reduced graph never exceeds the original") {
@@ -123,11 +149,19 @@ class GlobalReductionSpec extends AnyFunSuite {
     val refSink = new CollectingSink
     val refMetrics = new Metrics(g.n)
     val (ref, dirtyDeletions) = BinarySearchGlobalReduction(g, refSink, refMetrics)
-    assert(res.reduced.n == g.n, s"$label: id space")
-    // Whole rows, not just `edges` (the upper half of each row), so that a
-    // slot left live in one of its two rows shows.
-    for (v <- 0 until g.n)
-      assert(res.reduced.neighbors(v).toSeq == ref.reduced.neighbors(v).toSeq, s"$label: row of $v")
+    val toOrig = res.toOrig
+    assert(toOrig.length == res.reduced.n, s"$label: id table size")
+    assert(toOrig.forall(v => v >= 0 && v < g.n), s"$label: id space")
+    assert(toOrig.indices.drop(1).forall(i => toOrig(i - 1) < toOrig(i)), s"$label: toOrig not increasing")
+    assert((0 until res.reduced.n).forall(res.reduced.degree(_) > 0), s"$label: a degree-0 vertex")
+    // Whole rows by input id, not just `edges` (the upper half of each
+    // row), so that a slot left live in one of its two rows shows.
+    val newId = Array.fill(g.n)(-1)
+    toOrig.indices.foreach(i => newId(toOrig(i)) = i)
+    for (v <- 0 until g.n) {
+      val row = if (newId(v) < 0) Seq.empty else res.reduced.neighbors(newId(v)).toSeq.map(toOrig(_))
+      assert(row == ref.neighbors(v).toSeq, s"$label: row of $v")
+    }
     assert(metrics.globalDeletedVertices == refMetrics.globalDeletedVertices, s"$label: deleted vertices")
     assert(metrics.globalDeletedEdges == refMetrics.globalDeletedEdges, s"$label: deleted edges")
     def multiset(c: Iterable[Set[Int]]) = c.groupBy(identity).map { case (k, v) => k -> v.size }
@@ -170,6 +204,7 @@ class GlobalReductionSpec extends AnyFunSuite {
       val metrics = new Metrics(g.n)
       val res = GlobalReduction(g, new CountingSink, metrics)
       assert(res.reduced eq g, s"$label was rebuilt")
+      assert(res.toOrig.toSeq == (0 until g.n), s"$label: ids changed")
       assert(metrics.globalDeletedEdges == 0 && metrics.globalDeletedVertices == 0, label)
     }
   }
@@ -183,7 +218,7 @@ class GlobalReductionSpec extends AnyFunSuite {
   */
 private object BinarySearchGlobalReduction {
 
-  def apply(g: CsrGraph, sink: CliqueSink, metrics: Metrics): (GlobalReduction.Result, Int) = {
+  def apply(g: CsrGraph, sink: CliqueSink, metrics: Metrics): (CsrGraph, Int) = {
     val n = g.n
     val adj = g.adj
     val off = g.offsets
@@ -455,6 +490,6 @@ private object BinarySearchGlobalReduction {
     val reduced = CsrGraph.fromEdges(n, reducedEdges)
     metrics.globalDeletedVertices += deletedVertices
     metrics.globalDeletedEdges += g.m - reduced.m
-    (GlobalReduction.Result(reduced), dirtyDeletions)
+    (reduced, dirtyDeletions)
   }
 }

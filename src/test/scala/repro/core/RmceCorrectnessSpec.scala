@@ -72,16 +72,18 @@ class RmceCorrectnessSpec extends AnyFunSuite {
     for (seed <- 1 to 10) {
       val g = mixed(seed)
       val p = prepare(g)
-      val reduced = GlobalReduction(g, new CountingSink, new Metrics(g.n)).reduced
+      val res = GlobalReduction(g, new CountingSink, new Metrics(g.n))
+      val reduced = res.reduced
       val withEdges = (0 until reduced.n).filter(reduced.degree(_) > 0).toSet
       assert((0 until p.graph.n).forall(p.graph.degree(_) > 0), s"mixed-$seed: a degree-0 vertex")
       assert(p.toOrig.length == p.graph.n && p.toOrig.distinct.length == p.toOrig.length,
         s"mixed-$seed: toOrig not injective")
       assert(p.graph.n == withEdges.size, s"mixed-$seed: n' != vertices with edges in G'")
-      assert(p.toOrig.toSeq == repro.graph.Degeneracy.decompose(reduced).order.toSeq.filter(withEdges),
+      assert(p.toOrig.toSeq ==
+        repro.graph.Degeneracy.decompose(reduced).order.toSeq.filter(withEdges).map(res.toOrig(_)),
         s"mixed-$seed: not the degeneracy order of G' restricted to vertices with edges")
       assert(p.graph.edges.map { case (u, v) => Set(p.toOrig(u), p.toOrig(v)) }.toSet ==
-        reduced.edges.map { case (u, v) => Set(u, v) }.toSet, s"mixed-$seed: edges")
+        reduced.edges.map { case (u, v) => Set(res.toOrig(u), res.toOrig(v)) }.toSet, s"mixed-$seed: edges")
     }
   }
 

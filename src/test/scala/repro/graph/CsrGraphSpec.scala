@@ -112,6 +112,60 @@ class CsrGraphSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](g.relabelled(Array(3, 2, 1, 0, -1)))
   }
 
+  /** Slot of `v` in `u`'s row. */
+  private def slot(h: CsrGraph, u: Int, v: Int): Int =
+    java.util.Arrays.binarySearch(h.adj, h.offsets(u), h.offsets(u + 1), v)
+
+  test("compacted keeps the vertices with a kept slot, renumbered in increasing id") {
+    // Vertex 1 peeled, vertex 4 isolated: 0, 2 and 3 keep an edge.
+    val (h, toOrig) = g.compacted(new Array[Boolean](g.adj.length), Array(false, true, false, false, false))
+    assert(toOrig.toSeq == Seq(0, 2, 3))
+    wellFormed(h, "peeled 1")
+    assert(h.n == 3 && h.m == 2)
+    assert((0 until h.n).map(h.neighbors(_).toSeq) == Seq(Seq(2), Seq(2), Seq(0, 1)))
+  }
+
+  test("compacted drops dead slots and slots to peeled vertices, as a tuple rebuild") {
+    val rnd = new Random(29)
+    for ((h, trial) <- randomGraphs(rnd).zipWithIndex) {
+      val deadEdges = h.edges.filter(_ => rnd.nextDouble() < 0.3).toSet
+      val peeled = Array.fill(h.n)(rnd.nextDouble() < 0.2)
+      val dead = new Array[Boolean](h.adj.length)
+      for ((u, v) <- deadEdges) { dead(slot(h, u, v)) = true; dead(slot(h, v, u)) = true }
+      val keptEdges = h.edges.filter(e => !deadEdges(e) && !peeled(e._1) && !peeled(e._2))
+      val ids = keptEdges.flatMap(e => Seq(e._1, e._2)).distinct.sorted
+      val rank = ids.zipWithIndex.toMap
+      val oracle = CsrGraph.fromEdges(ids.length, keptEdges.map { case (u, v) => (rank(u), rank(v)) })
+      val (c, toOrig) = h.compacted(dead, peeled)
+      wellFormed(c, s"trial $trial")
+      assert(toOrig.toSeq == ids.toSeq, s"trial $trial: toOrig")
+      assert(c.offsets.toSeq == oracle.offsets.toSeq, s"trial $trial: offsets")
+      assert(c.adj.toSeq == oracle.adj.toSeq, s"trial $trial: adj")
+    }
+  }
+
+  test("compacted copies a row that loses nothing as is") {
+    val h = CsrGraph.fromEdges(4, g.edges) // g without its isolated vertex
+    val dead = new Array[Boolean](h.adj.length)
+    dead(slot(h, 0, 1)) = true; dead(slot(h, 1, 0)) = true
+    val (same, sameIds) = h.compacted(dead, new Array[Boolean](4))
+    assert(sameIds.toSeq == Seq(0, 1, 2, 3))
+    for (v <- Seq(2, 3)) assert(same.neighbors(v).toSeq == h.neighbors(v).toSeq, s"row $v")
+    // Vertex 0 peeled: rows 2 and 3 keep every neighbour but 0, renumbered.
+    val (less, lessIds) = h.compacted(new Array[Boolean](h.adj.length), Array(true, false, false, false))
+    assert(lessIds.toSeq == Seq(1, 2, 3))
+    assert(less.neighbors(1).toSeq.map(lessIds(_)) == h.neighbors(2).toSeq)
+    assert(less.neighbors(2).toSeq.map(lessIds(_)) == h.neighbors(3).toSeq.filter(_ != 0))
+  }
+
+  test("compacted on the empty and the edgeless graph") {
+    for (n <- Seq(0, 4)) {
+      val (h, toOrig) = CsrGraph.fromEdges(n, Nil).compacted(Array.empty, new Array[Boolean](n))
+      assert(h.n == 0 && h.m == 0 && toOrig.isEmpty, s"n=$n")
+    }
+    assertThrows[IllegalArgumentException](g.compacted(Array.empty, new Array[Boolean](5)))
+  }
+
   test("fromLongEdges compacts ids and returns the mapping") {
     val (h, toOrig) = CsrGraph.fromLongEdges(Seq((100L, 7L), (7L, 55L), (100L, 55L)))
     assert(h.n == 3)

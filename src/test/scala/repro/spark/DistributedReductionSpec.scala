@@ -20,8 +20,8 @@ class DistributedReductionSpec extends SparkSpec {
     import s.implicits._
     val got = DistributedReduction(spark, g.edges.toSeq.map(e => (id(e._1), id(e._2))).toDF("src", "dst"))
       .reducedEdges.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq.sorted
-    val local = GlobalReduction(g, new CollectingSink, new Metrics(g.n)).reduced.edges
-      .toSeq.map(e => (id(e._1), id(e._2))).sorted
+    val res = GlobalReduction(g, new CollectingSink, new Metrics(g.n))
+    val local = res.reduced.edges.toSeq.map(e => (id(res.toOrig(e._1)), id(res.toOrig(e._2)))).sorted
     assert(got == local, s"$label: reduced edges differ from the local reduction's")
     got
   }
