@@ -40,13 +40,12 @@ object Rmce {
     var isolated = 0
     while (isolated < all.length && g1.degree(all(isolated)) == 0) isolated += 1
     val order = if (isolated == 0) all else java.util.Arrays.copyOfRange(all, isolated, all.length)
-    val toOrig = reduced.fold(order) { r =>
-      val ids = new Array[Int](order.length)
+    val graph = g1.relabelled(order) // reads `order` first: it then becomes the table to `g0` ids
+    reduced.foreach { r =>
       var i = 0
-      while (i < ids.length) { ids(i) = r.toOrig(order(i)); i += 1 }
-      ids
+      while (i < order.length) { order(i) = r.toOrig(order(i)); i += 1 }
     }
-    Prepared(g1.relabelled(order), toOrig, decomp.degeneracy)
+    Prepared(graph, order, decomp.degeneracy)
   }
 
   /** Run a subset of root subproblems (labels of `prepared.graph`, in

@@ -21,9 +21,9 @@ object Datasets {
       paperDmax: Int,
       paperLambda: Int,
       gen: () => GeneratedGraph) {
-    /** Generated once per spec; every reader shares it. */
+    /** Generated, and built as a CSR, once per spec; every reader shares them. */
     lazy val graph: GeneratedGraph = gen()
-    def csr: repro.graph.CsrGraph = graph.toCsr
+    lazy val csr: repro.graph.CsrGraph = graph.toCsr
   }
 
   private def pl(n: Int, m: Int, closure: Double, p1: Int, p2: Int, seed: Long,

@@ -19,16 +19,12 @@ object GraphGen {
     def toCsr: repro.graph.CsrGraph = repro.graph.CsrGraph.fromEdges(n, edges)
   }
 
-  /** Canonicalise an edge soup: dedupe, drop self-loops, compact ids. */
+  /** Canonicalise an edge soup: dedupe, drop self-loops, compact ids, sort. */
   def compact(raw: Iterable[(Int, Int)]): GeneratedGraph = {
-    val set = mutable.SortedSet.empty[(Int, Int)]
-    raw.foreach { case (a, b) =>
-      if (a != b) set += (if (a < b) (a, b) else (b, a))
-    }
-    val ids = mutable.SortedSet.empty[Int]
-    set.foreach { case (a, b) => ids += a; ids += b }
-    val remap = ids.iterator.zipWithIndex.toMap
-    GeneratedGraph(remap.size, set.iterator.map { case (a, b) => (remap(a), remap(b)) }.toArray)
+    val ends = new mutable.ArrayBuilder.ofLong
+    raw.foreach { case (a, b) => ends += a; ends += b }
+    val (g, _) = repro.graph.CsrGraph.fromLongEdges(ends.result())
+    GeneratedGraph(g.n, g.edges)
   }
 
   /** Holme–Kim power-law graph: preferential attachment (`mAttach` edges per

@@ -204,45 +204,45 @@ object CsrGraph {
     sortedRows(n, count, raw)
   }
 
-  /** Build from a Long edge list (e.g. collected from a Spark DataFrame),
-    * compacting arbitrary ids to `0 until n` in increasing order. Returns
-    * the graph and the new-id → original-id table (ascending). Self-loops
-    * are dropped before compacting, duplicates are collapsed.
+  /** Build from packed Long endpoints, `ends(2e)` and `ends(2e+1)` for raw
+    * edge e (as collected from a Spark DataFrame; `ends` is not modified),
+    * compacting ids to `0 until n` in increasing order. Returns the graph and
+    * the new-id → original-id table (ascending). Self-loops are dropped
+    * before compacting, duplicates in either orientation are collapsed.
     */
-  def fromLongEdges(rawEdges: Iterable[(Long, Long)]): (CsrGraph, Array[Long]) = {
-    // ends(2e), ends(2e+1): the endpoints of the e-th non-loop edge.
+  def fromLongEdges(ends: Array[Long]): (CsrGraph, Array[Long]) = {
+    // kept(0 until k): the endpoints of the non-loop edges, then their new ids.
+    val kept = new Array[Long](ends.length)
     var k = 0
-    rawEdges.foreach { case (u, v) => if (u != v) k += 1 }
-    val ends = new Array[Long](2 * k)
-    var e = 0
-    rawEdges.foreach { case (u, v) =>
-      if (u != v) { ends(e) = u; ends(e + 1) = v; e += 2 }
+    var i = 0
+    while (i < ends.length) {
+      if (ends(i) != ends(i + 1)) { kept(k) = ends(i); kept(k + 1) = ends(i + 1); k += 2 }
+      i += 2
     }
-    val ids = ends.clone()
+    val ids = java.util.Arrays.copyOf(kept, k)
     java.util.Arrays.sort(ids)
     var n = 0
-    var i = 0
+    i = 0
     while (i < ids.length) {
       if (n == 0 || ids(i) != ids(n - 1)) { ids(n) = ids(i); n += 1 }
       i += 1
     }
     val toOrig = java.util.Arrays.copyOf(ids, n)
-    val local = new Array[Int](ends.length)
     val count = new Array[Int](n + 1)
     i = 0
-    while (i < ends.length) {
-      val x = java.util.Arrays.binarySearch(toOrig, ends(i))
-      local(i) = x
+    while (i < k) {
+      val x = java.util.Arrays.binarySearch(toOrig, kept(i))
+      kept(i) = x
       count(x + 1) += 1
       i += 1
     }
     var v = 0
     while (v < n) { count(v + 1) += count(v); v += 1 }
     val fill = java.util.Arrays.copyOf(count, n + 1)
-    val raw = new Array[Int](ends.length)
+    val raw = new Array[Int](k)
     i = 0
-    while (i < local.length) {
-      val a = local(i); val b = local(i + 1)
+    while (i < k) {
+      val a = kept(i).toInt; val b = kept(i + 1).toInt
       raw(fill(a)) = b; fill(a) += 1
       raw(fill(b)) = a; fill(b) += 1
       i += 2

@@ -3,7 +3,7 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.gen.Datasets
-import repro.graph.{CsrGraph, Degeneracy}
+import repro.graph.Degeneracy
 import repro.spark.DistributedMCE
 import scala.collection.mutable
 
@@ -15,10 +15,6 @@ import scala.collection.mutable
   */
 object Reports {
   import BenchRunner._
-
-  private val csrCache = mutable.Map.empty[String, CsrGraph]
-  private def csr(abbr: String): CsrGraph =
-    csrCache.getOrElseUpdate(abbr, Datasets.byAbbr(abbr).csr)
 
   private val allAbbrs: Seq[String] = Datasets.all.map(_.abbr)
 
@@ -41,7 +37,7 @@ object Reports {
     */
   def table2(): (String, Seq[Table2Row]) = {
     val rows = Datasets.all.map { d =>
-      val g = csr(d.abbr)
+      val g = d.csr
       Table2Row(d.abbr, d.name, g.n, g.m, g.maxDegree, Degeneracy.degeneracy(g),
         d.paperVertices, d.paperEdges, d.paperDmax, d.paperLambda)
     }
@@ -77,7 +73,7 @@ object Reports {
     val cfgs = Seq(RmceConfig.rmce(k), RmceConfig.variant1(k), RmceConfig.variant2(k),
       RmceConfig.variant3(k))
     val built = allAbbrs.map { abbr =>
-      val stats @ Seq(full, v1, v2, v3) = timeLocal(abbr, csr(abbr), cfgs, reps)
+      val stats @ Seq(full, v1, v2, v3) = timeLocal(abbr, Datasets.byAbbr(abbr).csr, cfgs, reps)
       val p = paperTable3(abbr)
       val row = AblationRow(abbr, full.timeMs, v1.timeMs, v2.timeMs, v3.timeMs, full.cliques,
         p._1, p._2, p._3, p._4)
@@ -101,7 +97,7 @@ object Reports {
   def fig7(reps: Int): (String, Seq[SpeedupRow]) = {
     val cfgs = RecursionKind.all.flatMap(k => Seq(RmceConfig.baseline(k), RmceConfig.rmce(k)))
     val built = allAbbrs.flatMap { abbr =>
-      val stats = timeLocal(abbr, csr(abbr), cfgs, reps)
+      val stats = timeLocal(abbr, Datasets.byAbbr(abbr).csr, cfgs, reps)
       RecursionKind.all.zipWithIndex.map { case (k, i) =>
         val (base, rmce) = (stats(2 * i), stats(2 * i + 1))
         val row = SpeedupRow(abbr, k.name, base.timeMs, rmce.timeMs, base.timeMs / rmce.timeMs,
@@ -124,7 +120,7 @@ object Reports {
 
   def fig8(): (String, Seq[ReductionRow]) = {
     val rows = allAbbrs.map { abbr =>
-      val g = csr(abbr)
+      val g = Datasets.byAbbr(abbr).csr
       val sink = new CountingSink
       val metrics = new Metrics(g.n)
       GlobalReduction(g, sink, metrics)
@@ -151,7 +147,7 @@ object Reports {
       abbr <- allAbbrs
       k <- RecursionKind.all
     } yield {
-      val g = csr(abbr)
+      val g = Datasets.byAbbr(abbr).csr
       val base = Rmce.run(g, RmceConfig.baseline(k), new CountingSink).recursiveCalls
       val rmce = Rmce.run(g, RmceConfig.rmce(k), new CountingSink).recursiveCalls
       val ratio =
@@ -174,7 +170,7 @@ object Reports {
 
   def fig10(): (String, Seq[ForbiddenRow]) = {
     val rows = allAbbrs.map { abbr =>
-      val g = csr(abbr)
+      val g = Datasets.byAbbr(abbr).csr
       val m = Rmce.run(g, RmceConfig.rmce(RecursionKind.Degen), new CountingSink)
       ForbiddenRow(abbr,
         1.0 - m.forbiddenKeepRatio,
@@ -198,7 +194,7 @@ object Reports {
   def fig11(): (String, Seq[VisitsRow]) = {
     val degreesPerGraph = 6
     val rows = Datasets.fig11Abbrs.flatMap { abbr =>
-      val g = csr(abbr)
+      val g = Datasets.byAbbr(abbr).csr
       val degOf = Array.tabulate(g.n)(g.degree)
       // Cliques-per-degree: each maximal clique counts once per member.
       val cliquesPerVertex = new Array[Long](g.n)

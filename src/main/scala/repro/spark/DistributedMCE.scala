@@ -22,8 +22,8 @@ final class LongCountingSink(toLong: Array[Long]) extends CliqueSink {
 /** Distributed maximal clique enumeration: the paper's RMCE pipeline with
   * the root search farmed out over Spark.
   *
-  *  1. the canonical edge list is collected to the driver once and compacted
-  *     to a CSR over ids `0 until n`, with a table back to the Long ids;
+  *  1. the edge table is collected to the driver once, as it is, and built
+  *     into a CSR over ids `0 until n`, with a table back to the Long ids;
   *  2. `Rmce.prepare` runs on the driver, exactly as in a local run: global
   *     reduction (if configured), whose maximal cliques go to a driver-side
   *     sink, then degeneracy order and relabelling;
@@ -49,13 +49,22 @@ object DistributedMCE {
       degeneracy: Int,
       metrics: Metrics)
 
-  /** The edge table collected to the driver once: a CSR over compact ids
-    * and the compact id → original Long id table (ascending, so compaction
-    * keeps `src < dst`).
+  /** The edge table collected to the driver as it is, with no shuffle: one
+    * packed array of endpoint pairs per partition, canonicalised by
+    * `fromLongEdges`. A null endpoint fails the run, naming its column.
     */
-  private[spark] def collectGraph(edgesDf: DataFrame): (CsrGraph, Array[Long]) =
-    CsrGraph.fromLongEdges(GraphOps.canonicalEdges(edgesDf).select("src", "dst").collect()
-      .map(r => (r.getLong(0), r.getLong(1))))
+  private[spark] def collectGraph(edgesDf: DataFrame): (CsrGraph, Array[Long]) = {
+    val parts = edgesDf.select("src", "dst").rdd.mapPartitions { rows =>
+      val (complete, rest) = rows.span(!_.anyNull)
+      val ends = new scala.collection.mutable.ArrayBuilder.ofLong
+      complete.foreach { r => ends += r.getLong(0); ends += r.getLong(1) }
+      val nullColumn = rest.nextOption().map(r => if (r.isNullAt(0)) "src" else "dst")
+      Iterator.single((ends.result(), nullColumn))
+    }.collect()
+    for (c <- parts.flatMap(_._2).headOption)
+      throw new IllegalArgumentException(s"edge column $c holds a null endpoint")
+    CsrGraph.fromLongEdges(Array.concat(parts.map(_._1).toIndexedSeq: _*))
+  }
 
   /** Tasks per core when the caller sets no count: several, so a core whose
     * roots are cheap takes another task while a costly one runs.

@@ -3,10 +3,10 @@ package repro.spark
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** DataFrame-level graph operations over edge lists `(src, dst)`.
-  *
-  * Pure DataFrame transformations; correctness is pinned by a DuckDB-oracle
-  * test that runs the equivalent SQL over the same edge table.
+/** DataFrame-level graph operations over edge lists `(src, dst)`, checked
+  * against DuckDB SQL. The program does not call them: `CsrGraph.fromLongEdges`
+  * canonicalises the collected table. They stay only because the benchmark's
+  * `spark.canon` layer (`mcebench/SparkLayers.standalone`) times them; they go with it.
   */
 object GraphOps {
 

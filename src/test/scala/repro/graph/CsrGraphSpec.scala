@@ -167,7 +167,7 @@ class CsrGraphSpec extends AnyFunSuite {
   }
 
   test("fromLongEdges compacts ids and returns the mapping") {
-    val (h, toOrig) = CsrGraph.fromLongEdges(Seq((100L, 7L), (7L, 55L), (100L, 55L)))
+    val (h, toOrig) = CsrGraph.fromLongEdges(Array(100L, 7L, 7L, 55L, 100L, 55L))
     assert(h.n == 3)
     assert(toOrig.toSeq == Seq(7L, 55L, 100L))
     assert(h.m == 3)
@@ -175,7 +175,7 @@ class CsrGraphSpec extends AnyFunSuite {
   }
 
   test("fromLongEdges drops self-loops before compacting") {
-    val (h, toOrig) = CsrGraph.fromLongEdges(Seq((5L, 5L), (1L, 2L)))
+    val (h, toOrig) = CsrGraph.fromLongEdges(Array(5L, 5L, 1L, 2L))
     assert(h.n == 2)
     assert(toOrig.toSeq == Seq(1L, 2L))
   }
@@ -184,7 +184,9 @@ class CsrGraphSpec extends AnyFunSuite {
     val big = Int.MaxValue.toLong + 5
     val raw = Seq((-3L, big), (big, -3L), (-3L, big), (7L, 7L), (Long.MinValue, 7L),
       (Long.MaxValue, big), (big, big), (-3L, 0L), (0L, 7L), (7L, 0L))
-    val (h, toOrig) = CsrGraph.fromLongEdges(raw)
+    val ends = raw.flatMap { case (a, b) => Seq(a, b) }.toArray
+    val (h, toOrig) = CsrGraph.fromLongEdges(ends)
+    assert(ends.toSeq == raw.flatMap { case (a, b) => Seq(a, b) }, "input left as it was")
     assert(toOrig.toSeq == Seq(Long.MinValue, -3L, 0L, 7L, big, Long.MaxValue))
     assert(h.n == 6)
     wellFormed(h, "long ids")
@@ -194,8 +196,8 @@ class CsrGraphSpec extends AnyFunSuite {
   }
 
   test("fromLongEdges on an empty or all-loop list") {
-    for (raw <- Seq(Seq.empty[(Long, Long)], Seq((4L, 4L)))) {
-      val (h, toOrig) = CsrGraph.fromLongEdges(raw)
+    for (ends <- Seq(Array.empty[Long], Array(4L, 4L))) {
+      val (h, toOrig) = CsrGraph.fromLongEdges(ends)
       assert(h.n == 0 && h.m == 0 && toOrig.isEmpty)
     }
   }

@@ -1,6 +1,7 @@
 package repro.spark
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.SparkSpec
 import repro.core._
 import repro.graph.CsrGraph
@@ -90,6 +91,39 @@ class DistributedMCESpec extends SparkSpec {
 
     // Rmce.run reports nothing on an empty graph (RmcePerConfigSpec).
     checkDistVsLocal(CsrGraph.fromEdges(0, Seq.empty), "empty")
+  }
+
+  test("a non-canonical table gives the canonical table's result") {
+    // Both orientations of every edge, some rows twice, and self-loops, one
+    // of them on an id with no other edge; in Long ids above Int.MaxValue.
+    val g = TestGraphs.mixed(1)
+    val edges = g.edges.toSeq.map(e => (shifted(e._1), shifted(e._2)))
+    val loops = edges.take(3).map(e => (e._1, e._1)) :+ ((shifted(g.n), shifted(g.n)))
+    val rows =
+      edges ++ edges.map(_.swap) ++ edges.take(4) ++ edges.takeRight(4).map(_.swap) ++ loops
+    val raw = dfLong(new scala.util.Random(1).shuffle(rows))
+    val canonical = dfLong(edges)
+    val (bruteCount, bruteChecksum) = bruteCountAndChecksum(g, Array.tabulate(g.n)(shifted))
+    mainConfigs.foreach { cfg =>
+      val c = DistributedMCE.run(spark, canonical, cfg, numTasks = 7)
+      val d = DistributedMCE.run(spark, raw, cfg, numTasks = 7)
+      assertSame("mixed-1-raw", cfg, d, c.cliqueCount, c.checksum)
+      assert(d.reducedN == c.reducedN,
+        s"mixed-1-raw/${cfg.label}: reducedN ${d.reducedN} != ${c.reducedN}")
+      assertSame("mixed-1-raw vs brute force", cfg, d, bruteCount, bruteChecksum)
+    }
+  }
+
+  test("a null endpoint fails the run and names its column") {
+    val schema = StructType(Seq(
+      StructField("src", LongType, nullable = true), StructField("dst", LongType, nullable = true)))
+    for ((nullRow, column) <- Seq((Row(null, 2L), "src"), (Row(3L, null), "dst"))) {
+      val rows = java.util.Arrays.asList(Row(1L, 2L), Row(2L, 3L), nullRow, Row(1L, 3L))
+      val t = spark.createDataFrame(rows, schema)
+      val e = intercept[IllegalArgumentException](
+        DistributedMCE.run(spark, t, RmceConfig.rmce(RecursionKind.Degen)))
+      assert(e.getMessage.contains(s"column $column"), e.getMessage)
+    }
   }
 
   test("distributed equals local on a clique-union graph") {
