@@ -42,7 +42,6 @@ final class ForbiddenSetReduction(n: Int) {
   private val ignoreId: Array[Int] = Array.fill(n)(n)
   private val domBy: Array[Int] = Array.fill(n)(-1)
   private val walkStamp: Array[Int] = new Array[Int](n)
-  private val keptX: Array[Int] = new Array[Int](n) // scratch: X vertices kept at this root
   private var gen = 0
 
   /** Is `x0` safely ignorable in the forbidden set of root `w`? */
@@ -61,18 +60,19 @@ final class ForbiddenSetReduction(n: Int) {
     false // unreachable
   }
 
-  /** Reduce `x` for root `i` and update the dominance records from its
-    * candidate set (Alg. 8 lines 3-11).
+  /** Reduce `X = s[xOff, xOff+xLen)` for root `i` in place, keeping its
+    * order, and update the dominance records from its candidate set
+    * `P = s[pOff, pOff+pLen)` (Alg. 8 lines 3-11). Returns the new `|X|`.
     */
-  def reduceAndUpdate(g: CsrGraph, i: Int, p: Array[Int], x: Array[Int]): Array[Int] = {
+  def reduceAndUpdate(g: CsrGraph, i: Int, s: Array[Int], pOff: Int, pLen: Int,
+                      xOff: Int, xLen: Int): Int = {
     var kept = 0
     var k = 0
-    while (k < x.length) {
-      val u = x(k)
-      if (!prunable(u, i)) { keptX(kept) = u; kept += 1 }
+    while (k < xLen) {
+      val u = s(xOff + k)
+      if (!prunable(u, i)) { s(xOff + kept) = u; kept += 1 }
       k += 1
     }
-    val x1 = if (kept == x.length) x else java.util.Arrays.copyOf(keptX, kept)
 
     // Rule 1 can hold only for u = p(0): N⁺(u) holds labels > u, so for
     // any later u it misses p(0). Rule 2 is tested only where it could take
@@ -80,20 +80,21 @@ final class ForbiddenSetReduction(n: Int) {
     // The outcome (ignoreId, domBy) is that of testing both rules, rule 2
     // only when rule 1 fails, for every u ∈ P.
     val adj = g.adj
+    val pEnd = pOff + pLen
     k = 0
-    while (k < p.length) {
-      val u = p(k)
+    while (k < pLen) {
+      val u = s(pOff + k)
       val af = g.split(u) // N⁺(u) starts here (labels > u)
       val au = g.offsets(u + 1)
-      if (k == 0 && au - af >= p.length - 1 &&
-          IntSets.subsetOfExcluding(p, 0, p.length, u, adj, af, au)) {
+      if (k == 0 && au - af >= pLen - 1 &&
+          IntSets.subsetOfExcluding(s, pOff, pEnd, u, adj, af, au)) {
         if (u < ignoreId(i)) { ignoreId(i) = u; domBy(i) = u }
-      } else if (i < ignoreId(u) && au - af <= p.length - 1 - k &&
-          IntSets.subsetOfExcluding(adj, af, au, -1, p, k + 1, p.length)) {
+      } else if (i < ignoreId(u) && au - af <= pLen - 1 - k &&
+          IntSets.subsetOfExcluding(adj, af, au, -1, s, pOff + k + 1, pEnd)) {
         ignoreId(u) = i; domBy(u) = i
       }
       k += 1
     }
-    x1
+    kept
   }
 }

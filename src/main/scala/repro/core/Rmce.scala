@@ -52,15 +52,34 @@ object Rmce {
     * degeneracy order). Safe to call with any subset in any order —
     * reductions' shared state is scoped per call (see
     * [[ForbiddenSetReduction]] on why sharing across an arbitrary root
-    * subset stays sound).
+    * subset stays sound). A `Range` hands out its ids unboxed.
     */
-  def runRoots(prepared: Prepared, roots: Iterable[Int], cfg: RmceConfig,
+  def runRoots(prepared: Prepared, roots: Range, cfg: RmceConfig,
                sink: CliqueSink, metrics: Metrics): Unit =
     new Engine(prepared.graph, prepared.toOrig, cfg, sink, metrics).runRoots(roots)
 }
 
 private object Engine {
   val EmptyInts: Array[Int] = Array.empty[Int]
+
+  // A frame of the array recursions, at its offset `f` in the frame stack:
+  // these header fields, then its P from `f + Header`. Below the frame's
+  // offset lie its ancestors, above its ext end its descendants.
+  /** The parent frame's offset, or -1 at the root. */
+  final val Parent = 0
+  /** `|P|`; P narrows in place as the call branches. */
+  final val PLen = 1
+  /** Where X starts; X has room for its first length plus the call's first `|P|`. */
+  final val XOff = 2
+  final val XLen = 3
+  /** Past X's room: the removed vertices go here, then the branch set. */
+  final val ExtOff = 4
+  final val ExtLen = 5
+  /** Index of the next branch vertex in the branch set. */
+  final val Next = 6
+  /** Lemma 8 vertices the call pushed onto `R`. */
+  final val Hoisted = 7
+  final val Header = 8
 }
 
 /** One enumeration pass: holds reusable scratch state (never share across
@@ -71,10 +90,18 @@ private object Engine {
   * through `local.orig`. The maximality check reduction runs before the
   * build, on labels, since its `ignoreId` spans roots.
   *
+  * The degen, revised and rcd recursions run as one loop over explicit
+  * frames on a [[FrameStack]], so they add no JVM frame per branched
+  * vertex and allocate nothing per call: a call's `P`, `X`, removed and
+  * branch sets are slices of the stack, which its children reuse one
+  * after another. A child's `P` and `X` are its parent's, intersected
+  * with the branch vertex's row; the parent then drops that vertex from
+  * its own `P` and adds it to its `X`, in place.
+  *
   * Every recursion keeps the BK invariant "every vertex adjacent to all of
   * `R` is in `P ∪ X`": vertices the dynamic reduction drops from `P`
-  * ([[DynOutcome.removed]]) join `X` for the branches and the base case,
-  * but are not scored as pivots.
+  * ([[DynamicReduction.removedLen]]) join `X` for the branches and the
+  * base case, but are not scored as pivots.
   */
 private final class Engine(
     g: CsrGraph,
@@ -82,15 +109,17 @@ private final class Engine(
     cfg: RmceConfig,
     sink: CliqueSink,
     metrics: Metrics) {
+  import Engine._
 
   private val local = new RootGraph(g, toOrig)
   private val dyn = new DynamicReduction(local.maxSize)
   private val fsr = new ForbiddenSetReduction(g.n)
   private val r = new IntStack()
+  private val fs = new FrameStack(Header + 4 * local.maxSize)
   private val reportBuf = new Array[Int](local.maxSize)
   /** The current root's rows ([[RootGraph.adj]], [[RootGraph.off]]). */
-  private var adj: Array[Int] = Engine.EmptyInts
-  private var off: Array[Int] = Engine.EmptyInts
+  private var adj: Array[Int] = EmptyInts
+  private var off: Array[Int] = EmptyInts
 
   /** Reports a clique given in local ids, as original ids. */
   private val localSink: CliqueSink = (ids, len) => {
@@ -99,47 +128,61 @@ private final class Engine(
     sink.report(reportBuf, len)
   }
 
-  /** Report `R ∪ extra[0,extraLen)`. */
+  /** Report `R ∪ a[from, from+len)`. */
   private val scratch = new Array[Int](local.maxSize)
-  private def reportRPlus(extra: Array[Int], extraLen: Int): Unit = {
+  private def reportRPlus(a: Array[Int], from: Int, len: Int): Unit = {
     val rl = r.copyInto(scratch)
-    System.arraycopy(extra, 0, scratch, rl, extraLen)
-    localSink.report(scratch, rl + extraLen)
+    System.arraycopy(a, from, scratch, rl, len)
+    localSink.report(scratch, rl + len)
   }
 
-  /** Count a visit to each vertex of `a`, mapped to original ids by `ids`. */
-  private def visitAll(a: Array[Int], ids: Array[Int]): Unit = {
-    var i = 0
-    while (i < a.length) { metrics.visit(ids(a(i))); i += 1 }
+  /** Count a visit to each vertex of `a[from, from+len)`, mapped to original
+    * ids by `ids`.
+    */
+  private def visitAll(a: Array[Int], from: Int, len: Int, ids: Array[Int]): Unit = {
+    var i = from
+    while (i < from + len) { metrics.visit(ids(a(i))); i += 1 }
   }
 
-  def runRoots(roots: Iterable[Int]): Unit = {
-    roots.foreach { i =>
-      val p = g.laterNeighbors(i)
-      var x = g.earlierNeighbors(i)
-      metrics.rootSubproblems += 1
-      metrics.forbiddenXTotal += x.length
-      if (cfg.maximalityReduction) {
-        val x1 = fsr.reduceAndUpdate(g, i, p, x)
-        if (x1.length < x.length) metrics.forbiddenReducedRoots += 1
-        x = x1
-      }
-      metrics.forbiddenXKept += x.length
-      if (endsAtOnce(p, x)) {
-        metrics.recursiveCalls += 1
-        visitAll(p, toOrig); visitAll(x, toOrig)
-      } else {
-        local.build(i, x, p)
-        adj = local.adj
-        off = local.off
-        r.clear()
-        r.push(local.nx)
-        cfg.recursion match {
-          case RecursionKind.Degen   => recursePivot(p, x, revised = false)
-          case RecursionKind.Revised => recursePivot(p, x, revised = true)
-          case RecursionKind.Rcd     => recurseRcd(p, x)
-          case RecursionKind.Facen   => new FacenRoot(p, x).run()
-        }
+  def runRoots(roots: Range): Unit = roots.foreach(runRoot)
+
+  /** Root `i` is the frame at offset 0: `P = N⁺(i)` and `X = N⁻(i)` are
+    * copied from the CSR into its slices, and Alg. 8, the cover-first test
+    * and [[RootGraph.build]] read and rewrite them there.
+    */
+  private def runRoot(i: Int): Unit = {
+    val pLen = g.laterDegree(i)
+    val xLen0 = g.split(i) - g.offsets(i)
+    fs.top = 0
+    fs.reserve(Header + 3 * pLen + xLen0)
+    val s = fs.buf
+    val pOff = Header
+    val xOff = pOff + pLen
+    System.arraycopy(g.adj, g.split(i), s, pOff, pLen)
+    System.arraycopy(g.adj, g.offsets(i), s, xOff, xLen0)
+    metrics.rootSubproblems += 1
+    metrics.forbiddenXTotal += xLen0
+    var xLen = xLen0
+    if (cfg.maximalityReduction) {
+      xLen = fsr.reduceAndUpdate(g, i, s, pOff, pLen, xOff, xLen0)
+      if (xLen < xLen0) metrics.forbiddenReducedRoots += 1
+    }
+    metrics.forbiddenXKept += xLen
+    if (endsAtOnce(s, pOff, pLen, xOff, xLen)) {
+      metrics.recursiveCalls += 1
+      visitAll(s, pOff, pLen, toOrig); visitAll(s, xOff, xLen, toOrig)
+    } else {
+      val extOff = xOff + xLen + pLen
+      local.build(i, s, xOff, xLen, pOff, pLen)
+      adj = local.adj
+      off = local.off
+      r.clear()
+      r.push(local.nx)
+      if (cfg.recursion == RecursionKind.Facen) new FacenRoot(pLen, xLen).run()
+      else {
+        s(Parent) = -1; s(PLen) = pLen; s(XOff) = xOff; s(XLen) = xLen; s(ExtOff) = extOff
+        fs.top = extOff
+        search()
       }
     }
   }
@@ -153,85 +196,154 @@ private final class Engine(
     * such a root builds no [[RootGraph]]; the caller counts the call and
     * its visits.
     */
-  private def endsAtOnce(p: Array[Int], x: Array[Int]): Boolean =
-    p.isEmpty || ((cfg.dynamicReduction || cfg.recursion != RecursionKind.Rcd) &&
-      DynamicReduction.covers(g.adj, g.offsets, p, x))
+  private def endsAtOnce(s: Array[Int], pOff: Int, pLen: Int, xOff: Int, xLen: Int): Boolean =
+    pLen == 0 || ((cfg.dynamicReduction || cfg.recursion != RecursionKind.Rcd) &&
+      DynamicReduction.covers(g.adj, g.offsets, s, pOff, pLen, s, xOff, xLen))
 
-  /** Dynamic reduction hook shared by the array-based recursions. */
-  private def dynReduce(p: Array[Int], x: Array[Int]): DynOutcome =
-    if (cfg.dynamicReduction) dyn.apply(adj, off, r, p, x, localSink, metrics)
-    else new DynOutcome(p, x, Engine.EmptyInts, 0)
+  private def scoreAgainst(u: Int, s: Array[Int], pOff: Int, pLen: Int): Int =
+    IntSets.intersectSize(adj, off(u), off(u + 1), s, pOff, pOff + pLen)
 
-  /** `x` plus the vertices the dynamic reduction removed from `P`. */
-  private def withRemoved(x: Array[Int], out: DynOutcome): Array[Int] =
-    if (out.removed.isEmpty) x
-    else if (x.isEmpty) out.removed
-    else IntSets.union(x, out.removed)
-
-  private def scoreAgainst(u: Int, p: Array[Int]): Int =
-    IntSets.intersectSize(adj, off(u), off(u + 1), p, 0, p.length)
-
-  // ---------------------------------------------------------------------
-  // BKdegen / BKrevised: pivoted recursion (Alg. 2 lines 4-9). `revised`
-  // scans X first, prunes the branch outright when an X vertex dominates
-  // all of P (Naudé-style dominance), and prefers X pivots on ties.
-  // ---------------------------------------------------------------------
-  private def recursePivot(p0: Array[Int], x0: Array[Int], revised: Boolean): Unit = {
-    metrics.recursiveCalls += 1
-    visitAll(p0, local.orig); visitAll(x0, local.orig)
-    val out = dynReduce(p0, x0)
-    val p = out.p
-    val x = out.x
-    if (p.isEmpty) {
-      if (x.isEmpty && out.removed.isEmpty && r.size >= 2)
-        reportRPlus(Engine.EmptyInts, 0)
-    } else {
-      var pivot = -1
-      var best = -1
-      var barren = false
-      if (revised) {
-        var i = 0
-        while (i < x.length && !barren) {
-          val s = scoreAgainst(x(i), p)
-          if (s == p.length) barren = true // X vertex adjacent to all of P
-          else if (s > best) { best = s; pivot = x(i) }
-          i += 1
-        }
-      }
-      if (!barren) {
-        var i = 0
-        while (i < p.length && best < p.length - 1) {
-          val s = if (cfg.dynamicReduction) dyn.degreeInP(p(i)) else scoreAgainst(p(i), p)
-          if (s > best) { best = s; pivot = p(i) }
-          i += 1
-        }
-        if (!revised) {
-          i = 0
-          while (i < x.length && best < p.length) {
-            val s = scoreAgainst(x(i), p)
-            if (s > best) { best = s; pivot = x(i) }
-            i += 1
-          }
-        }
-        val ext = IntSets.diffRange(p, adj, off(pivot), off(pivot + 1))
-        var curP = p
-        var curX = withRemoved(x, out)
-        var k = 0
-        while (k < ext.length) {
-          val w = ext(k)
-          val np = IntSets.intersect(curP, 0, curP.length, adj, off(w), off(w + 1))
-          val nx = IntSets.intersect(curX, 0, curX.length, adj, off(w), off(w + 1))
-          r.push(w)
-          recursePivot(np, nx, revised)
-          r.pop()
-          curP = IntSets.remove(curP, w)
-          curX = IntSets.insert(curX, w)
-          k += 1
+  /** The search below a root whose frame is at offset 0: a depth-first walk
+    * over frames. A frame branches on the vertices [[nextPivot]] or
+    * [[nextRcd]] hands out; each
+    * child is opened above it, and when a frame has nothing left it pops
+    * its hoisted vertices, gives its space back and lets its parent move
+    * the branched vertex from `P` to `X`.
+    */
+  private def search(): Unit = {
+    val rcd = cfg.recursion == RecursionKind.Rcd
+    enter(0, rcd)
+    var f = 0
+    while (f >= 0) {
+      val w = if (rcd) nextRcd(f) else nextPivot(f)
+      if (w >= 0) {
+        val c = fs.top
+        open(f, c, w)
+        r.push(w)
+        enter(c, rcd)
+        f = c
+      } else {
+        val s = fs.buf
+        var h = s(f + Hoisted)
+        while (h > 0) { r.pop(); h -= 1 }
+        fs.top = f
+        f = s(f + Parent)
+        if (f >= 0) {
+          val v = r.pop()
+          s(f + PLen) = IntSets.removeInPlace(s, f + Header, s(f + PLen), v)
+          s(f + XLen) = IntSets.insertInPlace(s, s(f + XOff), s(f + XLen), v)
         }
       }
     }
-    var h = 0
-    while (h < out.hoisted) { r.pop(); h += 1 }
+  }
+
+  /** Open the child of frame `f` that branches on `w`, at offset `c` (the
+    * top): its `P` and `X` are `f`'s, intersected with `N(w)`.
+    */
+  private def open(f: Int, c: Int, w: Int): Unit = {
+    val s0 = fs.buf
+    val pLen = s0(f + PLen)
+    val xLen = s0(f + XLen)
+    fs.reserve(Header + 3 * pLen + xLen)
+    val s = fs.buf
+    val pOff = f + Header
+    val xOff = s(f + XOff)
+    val from = off(w)
+    val until = off(w + 1)
+    val cp = c + Header
+    val a = IntSets.intersectInto(s, pOff, pOff + pLen, adj, from, until, s, cp)
+    val cx = cp + a
+    val b = IntSets.intersectInto(s, xOff, xOff + xLen, adj, from, until, s, cx)
+    s(c + Parent) = f; s(c + PLen) = a; s(c + XOff) = cx; s(c + XLen) = b
+    s(c + ExtOff) = cx + b + a
+    fs.top = cx + b + a
+  }
+
+  /** The start of the call at frame `f`: count it and its visits, run the
+    * dynamic reduction, and for the pivot recursions pick the pivot and
+    * lay out the branch set. The removed vertices join `X`, except in the
+    * pivot scan.
+    */
+  private def enter(f: Int, rcd: Boolean): Unit = {
+    metrics.recursiveCalls += 1
+    val s = fs.buf
+    val pOff = f + Header
+    val xOff = s(f + XOff)
+    val extOff = s(f + ExtOff)
+    var pLen = s(f + PLen)
+    var xLen = s(f + XLen)
+    visitAll(s, pOff, pLen, local.orig); visitAll(s, xOff, xLen, local.orig)
+    var removed = 0
+    var hoisted = 0
+    if (cfg.dynamicReduction) {
+      pLen = dyn.apply(adj, off, r, s, pOff, pLen, xOff, xLen, extOff, localSink, metrics)
+      xLen = dyn.xLen; removed = dyn.removedLen; hoisted = dyn.hoisted
+    }
+    s(f + PLen) = pLen
+    s(f + Hoisted) = hoisted
+    s(f + Next) = 0
+    s(f + ExtLen) = 0
+    if (rcd) s(f + XLen) = IntSets.unionInPlace(s, xOff, xLen, s, extOff, removed)
+    else if (pLen == 0) {
+      if (xLen == 0 && removed == 0 && r.size >= 2) reportRPlus(s, 0, 0)
+    } else {
+      val pivot = choosePivot(s, pOff, pLen, xOff, xLen)
+      s(f + XLen) = IntSets.unionInPlace(s, xOff, xLen, s, extOff, removed)
+      if (pivot >= 0)
+        s(f + ExtLen) = IntSets.diffInto(s, pOff, pOff + pLen, adj, off(pivot), off(pivot + 1), s, extOff)
+    }
+    fs.top = extOff + s(f + ExtLen)
+  }
+
+  // ---------------------------------------------------------------------
+  // BKdegen / BKrevised: pivoted recursion (Alg. 2 lines 4-9), branching on
+  // P \ N(pivot). `revised` scans X first, prunes the branch outright when
+  // an X vertex dominates all of P (Naudé-style dominance), and prefers X
+  // pivots on ties.
+  // ---------------------------------------------------------------------
+
+  /** The pivot over non-empty `P`, or -1 when the revised scan finds an `X`
+    * vertex adjacent to all of `P`.
+    */
+  private def choosePivot(s: Array[Int], pOff: Int, pLen: Int, xOff: Int, xLen: Int): Int = {
+    val revised = cfg.recursion == RecursionKind.Revised
+    var pivot = -1
+    var best = -1
+    if (revised) {
+      var i = xOff
+      while (i < xOff + xLen) {
+        val u = s(i)
+        val sc = scoreAgainst(u, s, pOff, pLen)
+        if (sc == pLen) return -1 // X vertex adjacent to all of P
+        if (sc > best) { best = sc; pivot = u }
+        i += 1
+      }
+    }
+    var i = pOff
+    while (i < pOff + pLen && best < pLen - 1) {
+      val u = s(i)
+      val sc = if (cfg.dynamicReduction) dyn.degreeInP(u) else scoreAgainst(u, s, pOff, pLen)
+      if (sc > best) { best = sc; pivot = u }
+      i += 1
+    }
+    if (!revised) {
+      i = xOff
+      while (i < xOff + xLen && best < pLen) {
+        val u = s(i)
+        val sc = scoreAgainst(u, s, pOff, pLen)
+        if (sc > best) { best = sc; pivot = u }
+        i += 1
+      }
+    }
+    pivot
+  }
+
+  /** The next vertex of frame `f`'s branch set, or -1 when it is done. */
+  private def nextPivot(f: Int): Int = {
+    val s = fs.buf
+    val k = s(f + Next)
+    if (k == s(f + ExtLen)) -1
+    else { s(f + Next) = k + 1; s(s(f + ExtOff) + k) }
   }
 
   // ---------------------------------------------------------------------
@@ -239,51 +351,37 @@ private final class Engine(
   // neighbours in P (recursing into its neighbourhood) until P itself is a
   // clique, then report R ∪ P if it passes the maximality check.
   // ---------------------------------------------------------------------
-  private def recurseRcd(p0: Array[Int], x0: Array[Int]): Unit = {
-    metrics.recursiveCalls += 1
-    visitAll(p0, local.orig); visitAll(x0, local.orig)
-    val out = dynReduce(p0, x0)
-    var p = out.p
-    var x = withRemoved(out.x, out)
-    var done = false
-    while (!done) {
-      if (p.isEmpty) {
-        if (x.isEmpty && r.size >= 2)
-          reportRPlus(Engine.EmptyInts, 0)
-        done = true
-      } else {
-        var minD = Int.MaxValue
-        var argMin = -1
-        var i = 0
-        while (i < p.length) {
-          val d = scoreAgainst(p(i), p)
-          if (d < minD) { minD = d; argMin = p(i) }
-          i += 1
-        }
-        if (minD == p.length - 1) {
-          // P is a clique; R ∪ P is the only candidate maximal clique here.
-          var maximal = true
-          i = 0
-          while (i < x.length && maximal) {
-            if (scoreAgainst(x(i), p) == p.length) maximal = false
-            i += 1
-          }
-          if (maximal) reportRPlus(p, p.length)
-          done = true
-        } else {
-          val v = argMin
-          val np = IntSets.intersect(p, 0, p.length, adj, off(v), off(v + 1))
-          val nx = IntSets.intersect(x, 0, x.length, adj, off(v), off(v + 1))
-          r.push(v)
-          recurseRcd(np, nx)
-          r.pop()
-          p = IntSets.remove(p, v)
-          x = IntSets.insert(x, v)
-        }
-      }
+
+  /** The next vertex frame `f` peels, or -1 once `P` is empty or a clique
+    * (after the report that ends the call, if any).
+    */
+  private def nextRcd(f: Int): Int = {
+    val s = fs.buf
+    val pOff = f + Header
+    val pLen = s(f + PLen)
+    val xOff = s(f + XOff)
+    val xLen = s(f + XLen)
+    if (pLen == 0) {
+      if (xLen == 0 && r.size >= 2) reportRPlus(s, 0, 0)
+      return -1
     }
-    var h = 0
-    while (h < out.hoisted) { r.pop(); h += 1 }
+    var minD = Int.MaxValue
+    var argMin = -1
+    var i = pOff
+    while (i < pOff + pLen) {
+      val d = scoreAgainst(s(i), s, pOff, pLen)
+      if (d < minD) { minD = d; argMin = s(i) }
+      i += 1
+    }
+    if (minD < pLen - 1) return argMin
+    // P is a clique; R ∪ P is the only candidate maximal clique here.
+    i = xOff
+    while (i < xOff + xLen) {
+      if (scoreAgainst(s(i), s, pOff, pLen) == pLen) return -1
+      i += 1
+    }
+    reportRPlus(s, pOff, pLen)
+    -1
   }
 
   // ---------------------------------------------------------------------
@@ -292,12 +390,23 @@ private final class Engine(
   // bitmask rows for every forbidden vertex, so intersections, pivot
   // scoring, and the dynamic reduction all become word-parallel. The masks
   // come from the root's local rows: P₀ is the local ids from nx + 1 on, so
-  // a member's bit is its local id − nx − 1.
+  // a member's bit is its local id − nx − 1. Unlike the array recursions,
+  // it recurses on the JVM stack and allocates its bitsets per call.
   // ---------------------------------------------------------------------
-  private final class FacenRoot(p0: Array[Int], x0: Array[Int]) {
-    private val k = p0.length
+
+  /** What [[FacenRoot]]'s dynamic reduction leaves: the candidate bits, and
+    * `X`, the removed vertices and the hoist count as in [[DynamicReduction]]
+    * (`xs` and `removed` hold slot indices).
+    */
+  private final class BitsOutcome(val pb: Array[Long], val xs: Array[Int], val removed: Array[Int],
+                                  val hoisted: Int)
+
+  /** The root's `k = |P₀|` candidates and `nx = |X′|` forbidden vertices, in
+    * the local ids [[RootGraph.build]] gives them.
+    */
+  private final class FacenRoot(k: Int, nx: Int) {
     private val w = Bits.words(math.max(1, k))
-    private val nSlots = k + x0.length
+    private val nSlots = k + nx
     /** Slot → local id: P₀ members take slots `0 until k`, X′ the rest. */
     private val slotId = new Array[Int](nSlots)
     private val masks = new Array[Long](nSlots * w)
@@ -306,7 +415,7 @@ private final class Engine(
       val base = local.nx + 1
       var i = 0
       while (i < nSlots) {
-        val v = if (i < k) p0(i) else x0(i - k)
+        val v = if (i < k) base + i else i - k
         slotId(i) = v
         var j = off(v)
         val end = off(v + 1)
@@ -322,7 +431,7 @@ private final class Engine(
       val pBits = new Array[Long](w)
       var i = 0
       while (i < k) { Bits.setBit(pBits, 0, i); i += 1 }
-      rec(pBits, Array.tabulate(x0.length)(j => k + j))
+      rec(pBits, Array.tabulate(nx)(j => k + j))
     }
 
     private def visitBits(pb: Array[Long]): Unit =
@@ -338,18 +447,17 @@ private final class Engine(
       Bits.forEachBit(pb, 0, w)(u => duScratch(u) = Bits.andPopcount(masks, u * w, pb, 0, w))
 
     /** Bitset counterpart of [[DynamicReduction]] (same barren exit, same
-      * three lemmas). Returns the reduced candidate bits and an outcome
-      * whose `x` and `removed` are slot indices. Unless the barren exit
+      * three lemmas). Unless the barren exit
       * fires, it fills `duScratch` with in-P degrees for `pb0` and leaves it
       * holding valid degrees for the returned bitset, so pivot selection
       * reuses the scan instead of recomputing popcounts. `orX` (the mark
       * bits) is only built when a degree-0/1 vertex actually exists.
       */
-    private def dynReduceBits(pb0: Array[Long], xs: Array[Int], pSize: Int): (Array[Long], DynOutcome) = {
+    private def dynReduceBits(pb0: Array[Long], xs: Array[Int], pSize: Int): BitsOutcome = {
       var i = 0
       while (i < xs.length) {
         if (Bits.andPopcount(masks, xs(i) * w, pb0, 0, w) == pSize)
-          return (new Array[Long](w), new DynOutcome(Engine.EmptyInts, xs, Engine.EmptyInts, 0))
+          return new BitsOutcome(new Array[Long](w), xs, EmptyInts, 0)
         i += 1
       }
       computeDu(pb0)
@@ -361,7 +469,7 @@ private final class Engine(
         if (d == pSize - 1) anyFull = true
       }
       if (!anyLow && !anyFull)
-        return (pb0, new DynOutcome(Engine.EmptyInts, xs, Engine.EmptyInts, 0))
+        return new BitsOutcome(pb0, xs, EmptyInts, 0)
 
       val pb = pb0.clone()
       var anyRemoved = false
@@ -400,7 +508,7 @@ private final class Engine(
       // rescanned: a removed vertex had at most one P-neighbour. A hoist
       // shifts every survivor's degree by the same constant, patched below.
       val kNow = if (anyRemoved) Bits.popcount(pb, 0, w) else pSize
-      var removed = Engine.EmptyInts
+      var removed = EmptyInts
       if (anyRemoved) {
         removed = new Array[Int](pSize - kNow)
         var j = 0
@@ -442,7 +550,7 @@ private final class Engine(
           removed = removed.filter(adjacentToHoisted)
         }
       }
-      (pb, new DynOutcome(Engine.EmptyInts, xsOut, removed, hoisted))
+      new BitsOutcome(pb, xsOut, removed, hoisted)
     }
 
     private def rec(pBits: Array[Long], xSlots: Array[Int]): Unit = {
@@ -453,17 +561,17 @@ private final class Engine(
 
       var pb = pBits
       var xs = xSlots
-      var removed = Engine.EmptyInts
+      var removed = EmptyInts
       var hoisted = 0
       if (!Bits.isEmpty(pb, 0, w)) {
         if (cfg.dynamicReduction) {
-          val (pb1, out) = dynReduceBits(pb, xs, Bits.popcount(pb, 0, w))
-          pb = pb1; xs = out.x; removed = out.removed; hoisted = out.hoisted
+          val out = dynReduceBits(pb, xs, Bits.popcount(pb, 0, w))
+          pb = out.pb; xs = out.xs; removed = out.removed; hoisted = out.hoisted
         } else computeDu(pb)
       }
       if (Bits.isEmpty(pb, 0, w)) {
         if (xs.isEmpty && removed.isEmpty && r.size >= 2)
-          reportRPlus(Engine.EmptyInts, 0)
+          reportRPlus(EmptyInts, 0, 0)
       } else {
         val pSize = Bits.popcount(pb, 0, w)
         var pivot = -1

@@ -22,14 +22,20 @@ import repro.graph.CsrGraph
   *
   * The rows come from the later-neighbour halves alone: an edge of `U`
   * joins a lower label to one of its `N⁺`, and `|N⁺(v)| ≤ λ` in degeneracy
-  * order, however large `N(v)` is. One pass counts each row, a second
-  * scatters each edge into both rows; taking the lower endpoints in
-  * increasing id, every row comes out sorted (as in
-  * [[repro.graph.CsrGraph.relabelled]]). So a root costs
+  * order, however large `N(v)` is. Row `l` is its lower partners, then its
+  * upper ones (those in `N⁺`). One scan of the `N⁺` halves, in increasing
+  * `l`, writes each row's upper partners straight into their place: when
+  * row `l` comes up, every lower row has been scanned, so its start and
+  * the size of its lower part are known. A second pass reads those upper
+  * parts back, not the graph, and fills the lower parts by transposing
+  * them; taking the lower endpoints in increasing id, every row comes out
+  * sorted (as in [[repro.graph.CsrGraph.relabelled]]). So a root costs
   * `O(|U| + Σ_{v ∈ U} |N⁺(v)|)`.
   *
   * One instance serves every root of an `Engine`. `adj` grows only when a
-  * root's rows hold more entries than it, to that count.
+  * root could need more room than it has (twice a bound on the upper
+  * parts' total, which bounds where the scan writes), and then at least
+  * doubles, so an `Engine` allocates at most about twice its largest rows.
   */
 private[core] final class RootGraph(g: CsrGraph, toOrig: Array[Int]) {
   /** The largest `|U|`: a root's neighbourhood plus the root. */
@@ -48,52 +54,62 @@ private[core] final class RootGraph(g: CsrGraph, toOrig: Array[Int]) {
   private val localOf = new Array[Int](g.n)
   java.util.Arrays.fill(localOf, -1)
 
-  /** Build root `i`'s rows, and rewrite `x` (sorted `X′`) and `p` (sorted
-    * `P`) in place from labels to local ids.
+  /** Build root `i`'s rows from its sorted `X′ = s[xOff, xOff+xLen)` and
+    * sorted `P = s[pOff, pOff+pLen)`, and rewrite both slices in place from
+    * labels to local ids.
     */
-  def build(i: Int, x: Array[Int], p: Array[Int]): Unit = {
-    nx = x.length
-    size = nx + 1 + p.length
-    System.arraycopy(x, 0, label, 0, nx)
+  def build(i: Int, s: Array[Int], xOff: Int, xLen: Int, pOff: Int, pLen: Int): Unit = {
+    nx = xLen
+    size = nx + 1 + pLen
+    System.arraycopy(s, xOff, label, 0, nx)
     label(nx) = i
-    System.arraycopy(p, 0, label, nx + 1, p.length)
+    System.arraycopy(s, pOff, label, nx + 1, pLen)
+    // Row l has at most min(|N⁺(label l)|, |P members above l|) upper partners.
+    var upperBound = 0
     var l = 0
-    while (l < size) { if (l != nx) localOf(label(l)) = l; l += 1 }
-
-    // Count: an edge {l, m} with m in N⁺(label l) enters rows l and m when
-    // m is a P member. X′–X′ edges enter no row, and i has no local id here.
-    java.util.Arrays.fill(off, 0, size + 1, 0)
-    l = 0
     while (l < size) {
       if (l != nx) {
+        localOf(label(l)) = l
+        upperBound += math.min(g.laterDegree(label(l)), if (l < nx) pLen else size - 1 - l)
+      }
+      l += 1
+    }
+    if (adj.length < 2 * upperBound) adj = new Array[Int](math.max(2 * upperBound, 2 * adj.length))
+
+    // Upper parts: an edge {l, m} with m in N⁺(label l) enters when m is a
+    // P member. `cursor(l)` counts row l's lower partners until row l
+    // comes up. X′–X′ edges enter no row, and i has no local id here.
+    java.util.Arrays.fill(cursor, 0, size, 0)
+    var end = 0
+    l = 0
+    while (l < size) {
+      off(l) = end
+      end += cursor(l)
+      if (l != nx) {
         var j = g.split(label(l))
-        val end = g.offsets(label(l) + 1)
-        while (j < end) {
+        val until = g.offsets(label(l) + 1)
+        while (j < until) {
           val m = localOf(g.adj(j))
-          if (m > nx) { off(l + 1) += 1; off(m + 1) += 1 }
+          if (m > nx) { adj(end) = m; end += 1; cursor(m) += 1 }
           j += 1
         }
       }
       l += 1
     }
-    l = 0
-    while (l < size) { off(l + 1) += off(l); cursor(l) = off(l); l += 1 }
-    if (adj.length < off(size)) adj = new Array[Int](off(size))
+    off(size) = end
 
-    // Scatter, lower endpoints in increasing id.
+    // Lower parts, lower endpoints in increasing id. When row l comes up,
+    // its lower part is full, so `cursor(l)` is where its upper part starts.
+    l = 0
+    while (l < size) { cursor(l) = off(l); l += 1 }
     l = 0
     while (l < size) {
-      if (l != nx) {
-        var j = g.split(label(l))
-        val end = g.offsets(label(l) + 1)
-        while (j < end) {
-          val m = localOf(g.adj(j))
-          if (m > nx) {
-            adj(cursor(l)) = m; cursor(l) += 1
-            adj(cursor(m)) = l; cursor(m) += 1
-          }
-          j += 1
-        }
+      var q = cursor(l)
+      val until = off(l + 1)
+      while (q < until) {
+        val m = adj(q)
+        adj(cursor(m)) = l; cursor(m) += 1
+        q += 1
       }
       l += 1
     }
@@ -105,8 +121,8 @@ private[core] final class RootGraph(g: CsrGraph, toOrig: Array[Int]) {
       l += 1
     }
     l = 0
-    while (l < nx) { x(l) = l; l += 1 }
+    while (l < nx) { s(xOff + l) = l; l += 1 }
     l = 0
-    while (l < p.length) { p(l) = nx + 1 + l; l += 1 }
+    while (l < pLen) { s(pOff + l) = nx + 1 + l; l += 1 }
   }
 }

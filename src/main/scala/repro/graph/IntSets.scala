@@ -6,6 +6,8 @@ package repro.graph
   * forbidden set `X`, and adjacency lists as sorted int arrays; every
   * operation here is a linear merge (or a binary search), which is the
   * classic representation used by the C++ baselines the paper builds on.
+  * No operation allocates: a result goes into a buffer the caller names,
+  * or replaces its input in place.
   */
 object IntSets {
 
@@ -23,18 +25,21 @@ object IntSets {
     false
   }
 
-  /** Merge-intersection of sorted ranges `a[af,au)` and `b[bf,bu)`. */
-  def intersect(a: Array[Int], af: Int, au: Int,
-                b: Array[Int], bf: Int, bu: Int): Array[Int] = {
-    val out = new Array[Int](math.min(au - af, bu - bf))
-    var i = af; var j = bf; var k = 0
+  /** Merge-intersection of sorted ranges `a[af,au)` and `b[bf,bu)`, written
+    * to `out` from `o`; returns its length. It may run in place over `a`
+    * (`out eq a`, `o <= af`): each write lands at or before the read.
+    */
+  def intersectInto(a: Array[Int], af: Int, au: Int,
+                    b: Array[Int], bf: Int, bu: Int,
+                    out: Array[Int], o: Int): Int = {
+    var i = af; var j = bf; var k = o
     while (i < au && j < bu) {
       val x = a(i); val y = b(j)
       if (x == y) { out(k) = x; k += 1; i += 1; j += 1 }
       else if (x < y) i += 1
       else j += 1
     }
-    if (k == out.length) out else java.util.Arrays.copyOf(out, k)
+    k - o
   }
 
   /** Size of the intersection of two sorted ranges (no allocation). */
@@ -69,55 +74,64 @@ object IntSets {
     true
   }
 
-  /** Remove one element from a sorted array (fresh array). */
-  def remove(a: Array[Int], x: Int): Array[Int] = {
-    val out = new Array[Int](math.max(0, a.length - 1))
-    var i = 0; var k = 0
-    while (i < a.length) {
-      if (a(i) != x) { if (k < out.length) out(k) = a(i); k += 1 }
-      i += 1
-    }
-    if (k == a.length) a // x was absent
-    else out
-  }
-
-  /** Insert one element into a sorted array, keeping it sorted (fresh array).
-    * `x` must not already be present.
+  /** Difference of sorted range `a[af,au)` minus sorted range `b[bf,bu)`,
+    * written to `out` from `o`; returns its length. Like [[intersectInto]],
+    * it may run in place over `a`.
     */
-  def insert(a: Array[Int], x: Int): Array[Int] = {
-    val out = new Array[Int](a.length + 1)
-    var i = 0
-    while (i < a.length && a(i) < x) { out(i) = a(i); i += 1 }
-    out(i) = x
-    while (i < a.length) { out(i + 1) = a(i); i += 1 }
-    out
-  }
-
-  /** Difference of sorted `a` minus sorted range `b[bf,bu)` (fresh array). */
-  def diffRange(a: Array[Int], b: Array[Int], bf: Int, bu: Int): Array[Int] = {
-    val out = new Array[Int](a.length)
-    var i = 0; var j = bf; var k = 0
-    while (i < a.length) {
+  def diffInto(a: Array[Int], af: Int, au: Int,
+               b: Array[Int], bf: Int, bu: Int,
+               out: Array[Int], o: Int): Int = {
+    var i = af; var j = bf; var k = o
+    while (i < au) {
       val x = a(i)
       while (j < bu && b(j) < x) j += 1
       if (j >= bu || b(j) != x) { out(k) = x; k += 1 }
       i += 1
     }
-    if (k == out.length) out else java.util.Arrays.copyOf(out, k)
+    k - o
   }
 
-  /** Union of two sorted arrays (fresh array). */
-  def union(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new Array[Int](a.length + b.length)
-    var i = 0; var j = 0; var k = 0
-    while (i < a.length && j < b.length) {
-      val x = a(i); val y = b(j)
-      if (x == y) { out(k) = x; k += 1; i += 1; j += 1 }
-      else if (x < y) { out(k) = x; k += 1; i += 1 }
-      else { out(k) = y; k += 1; j += 1 }
+  /** Remove `x` from the sorted slice `a[from, from+len)` in place, shifting
+    * the larger elements down; returns the new length (`len` if `x` is
+    * absent).
+    */
+  def removeInPlace(a: Array[Int], from: Int, len: Int, x: Int): Int = {
+    val end = from + len
+    var i = from
+    while (i < end && a(i) < x) i += 1
+    if (i == end || a(i) != x) len
+    else {
+      System.arraycopy(a, i + 1, a, i, end - i - 1)
+      len - 1
     }
-    while (i < a.length) { out(k) = a(i); k += 1; i += 1 }
-    while (j < b.length) { out(k) = b(j); k += 1; j += 1 }
-    if (k == out.length) out else java.util.Arrays.copyOf(out, k)
+  }
+
+  /** Insert `x` (absent) into the sorted slice `a[from, from+len)` in place,
+    * shifting the larger elements up into `a(from+len)`; returns `len + 1`.
+    */
+  def insertInPlace(a: Array[Int], from: Int, len: Int, x: Int): Int = {
+    val end = from + len
+    var i = from
+    while (i < end && a(i) < x) i += 1
+    System.arraycopy(a, i, a, i + 1, end - i)
+    a(i) = x
+    len + 1
+  }
+
+  /** Union of the sorted slice `a[af, af+alen)` with the disjoint sorted
+    * range `b[bf, bf+blen)`, written in place over `a[af, af+alen+blen)`
+    * from the back, so no element of `a` is overwritten before it is read.
+    * `b` must lie outside that span. Returns `alen + blen`.
+    */
+  def unionInPlace(a: Array[Int], af: Int, alen: Int, b: Array[Int], bf: Int, blen: Int): Int = {
+    var i = af + alen - 1
+    var j = bf + blen - 1
+    var k = af + alen + blen - 1
+    while (j >= bf) {
+      if (i >= af && a(i) > b(j)) { a(k) = a(i); i -= 1 }
+      else { a(k) = b(j); j -= 1 }
+      k -= 1
+    }
+    alen + blen
   }
 }

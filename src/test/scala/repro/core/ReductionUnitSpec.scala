@@ -7,7 +7,45 @@ import TestGraphs._
 /** Direct unit tests of DynamicReduction and ForbiddenSetReduction (their
   * end-to-end behaviour is covered by RmceCorrectnessSpec).
   */
+object ReductionUnitSpec {
+  /** What one [[DynamicReduction.apply]] leaves in its slices. */
+  final case class Reduced(p: Seq[Int], x: Seq[Int], removed: Seq[Int], hoisted: Int)
+}
+
 class ReductionUnitSpec extends AnyFunSuite {
+  import ReductionUnitSpec.Reduced
+
+  private val Untouched = -7
+
+  /** Run `dyn` on `P` and `X` laid out as the search lays them out: `P`,
+    * then `X` with room for `|P|` more, then the removed slice. The cells
+    * before `P`, after the removed slice and in `X`'s spare room are
+    * guards that must come back untouched.
+    */
+  private def reduce(dyn: DynamicReduction, g: CsrGraph, r: IntStack, p: Array[Int], x: Array[Int],
+                     sink: CliqueSink, m: Metrics): Reduced = {
+    val pOff = 2
+    val xOff = pOff + p.length
+    val remOff = xOff + x.length + p.length
+    val s = Array.fill(remOff + p.length + 2)(Untouched)
+    p.copyToArray(s, pOff); x.copyToArray(s, xOff)
+    val pLen = dyn.apply(g.adj, g.offsets, r, s, pOff, p.length, xOff, x.length, remOff, sink, m)
+    val (xLen, nRem) = (dyn.xLen, dyn.removedLen)
+    val guards = (0 until pOff) ++ (xOff + x.length until remOff) ++ (remOff + p.length until s.length)
+    assert(guards.forall(s(_) == Untouched), s"wrote outside its slices: ${s.toSeq}")
+    Reduced(s.slice(pOff, pOff + pLen).toSeq, s.slice(xOff, xOff + xLen).toSeq,
+      s.slice(remOff, remOff + nRem).toSeq, dyn.hoisted)
+  }
+
+  /** Run Alg. 8 at root `i` on `P`, `X` laid out side by side; returns the
+    * kept `X`, after checking `P` comes back as it was.
+    */
+  private def reduceX(fsr: ForbiddenSetReduction, g: CsrGraph, i: Int, p: Array[Int], x: Array[Int]): Array[Int] = {
+    val s = p ++ x
+    val xLen = fsr.reduceAndUpdate(g, i, s, 0, p.length, p.length, x.length)
+    assert(s.take(p.length).toSeq == p.toSeq, "P changed")
+    s.slice(p.length, p.length + xLen)
+  }
 
   test("dynamic degree-zero: unmarked vertex reported, marked vertex dropped silently") {
     // Subproblem rooted at 0 in a paw + pendant: P holds an isolated-in-P
@@ -21,7 +59,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val m = new Metrics(g.n)
     // P = {1,2,3}, X = {} — 3 is dynamic degree-0 and unmarked; {1,2} is a
     // mutual degree-one pair, so the rule also reports {0,1,2}.
-    val out = dyn.apply(g.adj, g.offsets, r, Array(1, 2, 3), Array.empty, report, m)
+    val out = reduce(dyn, g, r, Array(1, 2, 3), Array.empty, report, m)
     assert(reports.contains(Set(0, 3)))
     assert(reports.contains(Set(0, 1, 2)))
     assert(!out.p.contains(3))
@@ -35,7 +73,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val dyn = new DynamicReduction(g.n)
     val r = new IntStack(); r.push(0)
     val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-    val out = dyn.apply(g.adj, g.offsets, r, Array(2), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(3))
+    val out = reduce(dyn, g, r, Array(2), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(3))
     assert(reports.isEmpty)
     assert(out.p.isEmpty)
     // 1 covers P, so the barren exit fires: nothing is removed, X keeps 1.
@@ -48,7 +86,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val dyn = new DynamicReduction(g.n)
     val r = new IntStack(); r.push(0)
     val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-    val out = dyn.apply(g.adj, g.offsets, r, Array(2, 3), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(4))
+    val out = reduce(dyn, g, r, Array(2, 3), Array(1), (a, l) => reports += a.take(l).toSet, new Metrics(4))
     assert(reports.toSeq == Seq(Set(0, 3)))
     assert(out.p.isEmpty && out.hoisted == 0)
     assert(out.removed.toSeq == Seq(2, 3) && out.x.toSeq == Seq(1))
@@ -59,7 +97,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val g = k6
     val dyn = new DynamicReduction(g.n)
     val r = new IntStack(); r.push(0)
-    val out = dyn.apply(g.adj, g.offsets, r, Array(1, 2, 3, 4, 5), Array.empty,
+    val out = reduce(dyn, g, r, Array(1, 2, 3, 4, 5), Array.empty,
       (_, _) => fail("no report expected"), new Metrics(g.n))
     assert(out.hoisted == 5)
     assert(out.p.isEmpty)
@@ -72,7 +110,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val dyn = new DynamicReduction(g.n)
     val r = new IntStack(); r.push(0)
     val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-    val out = dyn.apply(g.adj, g.offsets, r, Array(1, 2), Array.empty, (a, l) => reports += a.take(l).toSet, new Metrics(3))
+    val out = reduce(dyn, g, r, Array(1, 2), Array.empty, (a, l) => reports += a.take(l).toSet, new Metrics(3))
     // {0,1,2} reported by the degree-one rule, pair removed, nothing hoisted.
     assert(reports.toSeq == Seq(Set(0, 1, 2)))
     assert(out.p.isEmpty && out.hoisted == 0)
@@ -96,7 +134,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val g = CsrGraph.fromEdges(5, dropLiftsHoistCore)
     val r = new IntStack(); r.push(0)
     val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-    val out = new DynamicReduction(g.n).apply(g.adj, g.offsets, r, Array(1, 2, 3, 4), Array.empty,
+    val out = reduce(new DynamicReduction(g.n), g, r, Array(1, 2, 3, 4), Array.empty,
       (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
     assert(reports.toSeq == Seq(Set(0, 1, 4)))
     assert(out.hoisted == 3 && (0 until r.size).map(r(_)) == Seq(0, 1, 2, 3))
@@ -114,7 +152,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     val root = new CollectingSink
     val prepared = Rmce.prepare(g, cfg, root, m)
     assert(m.globalDeletedEdges == 0 && prepared.toOrig(0) == 0)
-    Rmce.runRoots(prepared, Seq(0), cfg, root, m)
+    Rmce.runRoots(prepared, 0 to 0, cfg, root, m)
     // One call: d is dropped, a, b, c hoisted, and {0, a, b, c} reported.
     assert(root.cliques.toSet == Set(Set(0, 1, 4), Set(0, 1, 2, 3)))
     assert(m.recursiveCalls == 1 && m.preReportedDynamic == 1)
@@ -140,7 +178,7 @@ class ReductionUnitSpec extends AnyFunSuite {
       val g = CsrGraph.fromEdges(7, (1 to 5).map((0, _)) ++ Seq((1, 2)) ++ pEdges ++ xEdges)
       val r = new IntStack(); r.push(0)
       val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-      val out = new DynamicReduction(g.n).apply(g.adj, g.offsets, r, Array(1, 2, 3, 4, 5), x.toArray,
+      val out = reduce(new DynamicReduction(g.n), g, r, Array(1, 2, 3, 4, 5), x.toArray,
         (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
       assert(reports.toSeq == Seq(Set(0, 1, 2)))
       assert((1 until r.size).map(r(_)) == Seq(hoist).filter(_ >= 0) && out.hoisted == r.size - 1)
@@ -166,7 +204,7 @@ class ReductionUnitSpec extends AnyFunSuite {
       val g = barrenCase(coverAll = true, hubLeaves)
       val r = new IntStack(); r.push(0)
       val m = new Metrics(g.n)
-      val out = new DynamicReduction(g.n).apply(g.adj, g.offsets, r, Array(2, 3, 4), Array(1),
+      val out = reduce(new DynamicReduction(g.n), g, r, Array(2, 3, 4), Array(1),
         (_, _) => fail("no report expected"), m)
       assert(out.p.isEmpty && out.removed.isEmpty)
       assert(out.x.toSeq == Seq(1))
@@ -179,7 +217,7 @@ class ReductionUnitSpec extends AnyFunSuite {
       val g = barrenCase(coverAll = false, hubLeaves)
       val r = new IntStack(); r.push(0)
       val reports = scala.collection.mutable.ArrayBuffer.empty[Set[Int]]
-      val out = new DynamicReduction(g.n).apply(g.adj, g.offsets, r, Array(2, 3, 4), Array(1),
+      val out = reduce(new DynamicReduction(g.n), g, r, Array(2, 3, 4), Array(1),
         (a, l) => reports += a.take(l).toSet, new Metrics(g.n))
       // 4 is degree-0 and unmarked, so {0,4} is reported; {2,3} is then
       // hoisted, X keeps 1, which is adjacent to both, and 4 leaves
@@ -240,7 +278,7 @@ class ReductionUnitSpec extends AnyFunSuite {
         val p = g.laterNeighbors(i)
         val x = g.earlierNeighbors(i)
         val want = ungated.reduceAndUpdate(g, i, p, x)
-        val got = gated.reduceAndUpdate(g, i, p, x)
+        val got = reduceX(gated, g, i, p, x)
         assert(got.toSeq == want.toSeq, s"graph $gi root $i")
         pruned += x.length - got.length
       }
@@ -255,7 +293,7 @@ class ReductionUnitSpec extends AnyFunSuite {
     for (i <- 0 until g.n) {
       val p = g.laterNeighbors(i)
       val x = g.earlierNeighbors(i)
-      val x1 = fsr.reduceAndUpdate(g, i, p, x)
+      val x1 = reduceX(fsr, g, i, p, x)
       assert(x1.nonEmpty || x.isEmpty,
         s"root $i: forbidden set emptied by circular dominance — unsound")
     }
@@ -267,14 +305,14 @@ class ReductionUnitSpec extends AnyFunSuite {
     val g = CsrGraph.fromEdges(4, Seq((0, 2), (1, 2), (1, 3), (2, 3)))
     val fsr = new ForbiddenSetReduction(g.n)
     // Simulate the iteration order 0,1,2,3 (labels are already the order).
-    fsr.reduceAndUpdate(g, 0, g.laterNeighbors(0), g.earlierNeighbors(0))
-    fsr.reduceAndUpdate(g, 1, g.laterNeighbors(1), g.earlierNeighbors(1))
+    reduceX(fsr, g, 0, g.laterNeighbors(0), g.earlierNeighbors(0))
+    reduceX(fsr, g, 1, g.laterNeighbors(1), g.earlierNeighbors(1))
     // Root 1 learns P\{2}={3} ⊆ N⁺(2), so vertex 1 is dominated by 2 at
     // every root after 2 — at root 3, X={1,2} loses 1 (its dominator 2 is
     // kept) but keeps 2.
-    val x2 = fsr.reduceAndUpdate(g, 2, g.laterNeighbors(2), g.earlierNeighbors(2))
+    val x2 = reduceX(fsr, g, 2, g.laterNeighbors(2), g.earlierNeighbors(2))
     assert(x2.toSeq == Seq(0, 1), s"no prune valid yet at root 2, got ${x2.toSeq}")
-    val x3 = fsr.reduceAndUpdate(g, 3, g.laterNeighbors(3), g.earlierNeighbors(3))
+    val x3 = reduceX(fsr, g, 3, g.laterNeighbors(3), g.earlierNeighbors(3))
     assert(x3.toSeq == Seq(2), s"expected {2} after pruning dominated 1, got ${x3.toSeq}")
   }
 

@@ -16,15 +16,20 @@ class RootGraphSpec extends AnyFunSuite {
     val g = prepared.graph
     val local = new RootGraph(g, prepared.toOrig) // one instance for every root, as the search uses it
     for (i <- 0 until g.n; thin <- Seq(false, true)) {
-      val p = g.laterNeighbors(i)
-      val x = g.earlierNeighbors(i).zipWithIndex.collect { case (v, k) if !thin || k % 2 == 0 => v }
-      val labels = x.toSeq ++ Seq(i) ++ p.toSeq
-      val (pLabels, xLabels) = (p.toSeq, x.toSeq)
-      local.build(i, x, p)
+      val pLabels = g.laterNeighbors(i).toSeq
+      val xLabels = g.earlierNeighbors(i).toSeq.zipWithIndex.collect { case (v, k) if !thin || k % 2 == 0 => v }
+      val labels = xLabels ++ Seq(i) ++ pLabels
+      // The slices sit inside a larger array, between guard cells.
+      val (xOff, pOff) = (1, 1 + xLabels.size)
+      val s = Array.fill(pOff + pLabels.size + 1)(-7)
+      xLabels.copyToArray(s, xOff); pLabels.copyToArray(s, pOff)
+      local.build(i, s, xOff, xLabels.size, pOff, pLabels.size)
       val at = s"$name root $i thin=$thin"
       val nx = xLabels.size
       assert(local.nx == nx && local.size == labels.size, at)
-      assert(x.toSeq == (0 until nx) && p.toSeq == (nx + 1 until labels.size), s"$at: P/X not rewritten")
+      assert(s(0) == -7 && s.last == -7, s"$at: wrote outside the slices")
+      assert(s.slice(xOff, pOff).toSeq == (0 until nx) &&
+        s.slice(pOff, s.length - 1).toSeq == (nx + 1 until labels.size), s"$at: P/X not rewritten")
       assert((0 until local.size).map(local.orig(_)) == labels.map(prepared.toOrig(_)), s"$at: id table")
       def row(l: Int): Seq[Int] = (local.off(l) until local.off(l + 1)).map(local.adj(_))
       for (l <- 0 until local.size) {

@@ -22,46 +22,68 @@ class IntSetsSpec extends AnyFunSuite {
     })
   }
 
+  /** Runs an into-buffer operation at offset 3 of a fresh buffer and
+    * returns what it wrote.
+    */
+  private def into(op: (Array[Int], Int) => Int): Seq[Int] = {
+    val out = Array.fill(130)(-1)
+    val len = op(out, 3)
+    out.slice(3, 3 + len).toSeq
+  }
+
+  /** Runs an operation in place over a copy of `a` placed at offset 2,
+    * with `extra` spare cells behind it; returns the resulting slice.
+    */
+  private def inPlace(a: Array[Int], extra: Int)(op: (Array[Int], Int) => Int): Seq[Int] = {
+    val buf = Array.fill(2 + a.length + extra)(-1)
+    a.copyToArray(buf, 2)
+    val len = op(buf, 2)
+    buf.slice(2, 2 + len).toSeq
+  }
+
   test("intersect agrees with Set intersection") {
     run(Prop.forAll(genSet, genSet) { (a, b) =>
-      IntSets.intersect(a, 0, a.length, b, 0, b.length).toSeq ==
-        (a.toSet intersect b.toSet).toSeq.sorted
+      val want = (a.toSet intersect b.toSet).toSeq.sorted
+      into(IntSets.intersectInto(a, 0, a.length, b, 0, b.length, _, _)) == want &&
+        inPlace(a, 0)((buf, o) => IntSets.intersectInto(buf, o, o + a.length, b, 0, b.length, buf, o)) == want
     })
   }
 
   test("intersectSize agrees with intersect length") {
     run(Prop.forAll(genSet, genSet) { (a, b) =>
       IntSets.intersectSize(a, 0, a.length, b, 0, b.length) ==
-        IntSets.intersect(a, 0, a.length, b, 0, b.length).length
+        into(IntSets.intersectInto(a, 0, a.length, b, 0, b.length, _, _)).length
     })
   }
 
-  test("diffRange agrees with Set difference") {
+  test("diffInto agrees with Set difference") {
     run(Prop.forAll(genSet, genSet) { (a, b) =>
-      IntSets.diffRange(a, b, 0, b.length).toSeq == (a.toSet diff b.toSet).toSeq.sorted
+      val want = (a.toSet diff b.toSet).toSeq.sorted
+      into(IntSets.diffInto(a, 0, a.length, b, 0, b.length, _, _)) == want &&
+        inPlace(a, 0)((buf, o) => IntSets.diffInto(buf, o, o + a.length, b, 0, b.length, buf, o)) == want
     })
   }
 
   test("union agrees with Set union") {
-    run(Prop.forAll(genSet, genSet) { (a, b) =>
-      IntSets.union(a, b).toSeq == (a.toSet union b.toSet).toSeq.sorted
+    run(Prop.forAll(genSet, genSet) { (a, b0) =>
+      val b = b0.filterNot(a.contains) // unionInPlace takes disjoint sets
+      inPlace(a, b.length)((buf, o) => IntSets.unionInPlace(buf, o, a.length, b, 0, b.length)) ==
+        (a.toSet union b.toSet).toSeq.sorted
     })
   }
 
   test("remove drops exactly one present element") {
     val a = Array(1, 3, 5, 9)
-    assert(IntSets.remove(a, 3).toSeq == Seq(1, 5, 9))
-    assert(IntSets.remove(a, 4).toSeq == Seq(1, 3, 5, 9))
-    assert(IntSets.remove(Array.empty[Int], 4).toSeq == Seq.empty)
+    assert(inPlace(a, 0)(IntSets.removeInPlace(_, _, a.length, 3)) == Seq(1, 5, 9))
+    assert(inPlace(a, 0)(IntSets.removeInPlace(_, _, a.length, 4)) == Seq(1, 3, 5, 9))
+    assert(inPlace(a, 0)(IntSets.removeInPlace(_, _, a.length, 9)) == Seq(1, 3, 5))
+    assert(inPlace(Array.empty[Int], 0)(IntSets.removeInPlace(_, _, 0, 4)) == Seq.empty)
   }
 
   test("insert keeps ordering") {
     run(Prop.forAll(genSet, Gen.choose(0, 60)) { (a, x) =>
-      if (a.contains(x)) true
-      else {
-        val out = IntSets.insert(a, x)
-        out.toSeq == (a.toSeq :+ x).sorted
-      }
+      a.contains(x) ||
+        inPlace(a, 1)(IntSets.insertInPlace(_, _, a.length, x)) == (a.toSeq :+ x).sorted
     })
   }
 
@@ -83,7 +105,7 @@ class IntSetsSpec extends AnyFunSuite {
   test("intersect with ranges honours offsets") {
     val a = Array(1, 2, 3, 4, 5)
     val b = Array(3, 4, 5, 6)
-    assert(IntSets.intersect(a, 2, 5, b, 0, 2).toSeq == Seq(3, 4))
+    assert(into(IntSets.intersectInto(a, 2, 5, b, 0, 2, _, _)) == Seq(3, 4))
     assert(IntSets.intersectSize(a, 0, 3, b, 0, b.length) == 1)
   }
 }
